@@ -24,10 +24,10 @@ from .rotation import (HomotopyPath, PhaseCurves, PhaseLedger, bridge_terms,
                        char_poly_identity, conjugation_shift, omega_matrix,
                        phase_curves, rot_number, rot_number_batch)
 from .hyperbolicity import (SectionDegree, SplittingEstimate, section_degree,
-                            uh_test)
+                            uh_test, uh_test_many)
 from .gaps import GapRecord, LabelGroup, detect_gaps, label_gap, verify_ids_rot
 from .perturb import (RandomDiagonalLaw, SpectralSet, check_bigstar,
                       monte_carlo_sigma1, star)
 from .duality import (TrigPolynomial, amo_dual_polynomial, build_dual,
                       check_factorization, check_ids_duality, scalar_model)
-from .scanengine import OrbitCache, ScanResult, scan
+from .scanengine import ScanResult, scan

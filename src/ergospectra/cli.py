@@ -116,7 +116,6 @@ CONFIG_SCHEMA = {
             "properties": {"n_iter": {"type": "integer", "minimum": 1},
                            "gap_threshold": {"type": "number"}},
         },
-        "tol": {"type": "object"},
     },
 }
 

@@ -15,9 +15,10 @@ import itertools
 import numpy as np
 
 from .errors import InvalidInput
-from .model import OperatorModel, ids as ids_scan
+from .model import (OperatorModel, count_below, ids as ids_scan,
+                    restriction_eigenvalues)
 from .rotation import rot_number
-from .hyperbolicity import uh_test
+from .hyperbolicity import uh_test_many
 
 FLAT_TOL = 2e-3
 LABEL_TOL = 1e-2
@@ -111,15 +112,33 @@ def _flat_runs(values: np.ndarray, tol: float):
     return runs
 
 
-def _refine_edge(model, e_out, e_in, n_iter, theta0, steps: int = 10) -> float:
-    """Bisect the uh_test flag between a non-gap and a gap energy."""
+def _refine_edge(model, e_out, e_in, n_iter, theta0, steps: int = 10):
+    """Bisect the uh_test flag between non-gap and gap energies, all edges
+    in lockstep.
+
+    e_out and e_in are arrays of outer (expected non-UH) and inner (UH)
+    energies, one pair per edge.  The outer energies are tested first:
+    where one is UH the band lies within one grid step and the edge
+    stays at its inner energy.  Every other edge is bisected for `steps`
+    rounds, each round testing all midpoints in one batched call, so each
+    edge visits the midpoints sequential bisection would.
+    """
+    e_out = np.array(e_out, dtype=float)
+    e_in = np.array(e_in, dtype=float)
+    if e_in.size == 0:
+        return e_in
+    outer_uh = [flag for flag, _ in
+                uh_test_many(model, e_out, n_iter=n_iter, theta0=theta0)]
+    pending = np.flatnonzero(~np.array(outer_uh))
+    if pending.size == 0:
+        return e_in
     for _ in range(steps):
-        mid = 0.5 * (e_out + e_in)
-        is_uh, _ = uh_test(model, mid, n_iter=n_iter, theta0=theta0)
-        if is_uh:
-            e_in = mid
-        else:
-            e_out = mid
+        mid = 0.5 * (e_out[pending] + e_in[pending])
+        flags = np.array([flag for flag, _ in
+                          uh_test_many(model, mid, n_iter=n_iter,
+                                       theta0=theta0)])
+        e_in[pending[flags]] = mid[flags]
+        e_out[pending[~flags]] = mid[~flags]
     return e_in
 
 
@@ -131,7 +150,8 @@ def detect_gaps(model: OperatorModel, E_range, resolution: int, N: int,
     Returns GapRecords including the unbounded flat regions below and
     above the spectrum (interior=False) and interior gaps
     (interior=True), with edges sharpened by bisection on the
-    dichotomy flag.
+    dichotomy flag.  One restriction H^N at theta0 gives the IDS on the
+    grid and at every gap midpoint, the values ids() would return.
     """
     if resolution < 50:
         raise InvalidInput("resolution must be at least 50 grid points")
@@ -141,20 +161,29 @@ def detect_gaps(model: OperatorModel, E_range, resolution: int, N: int,
     if not E_hi > E_lo:
         raise InvalidInput("empty energy range")
     grid = np.linspace(E_lo, E_hi, resolution)
-    vals = ids_scan(model, theta0, N, grid)
+    # the restriction ids() counts on at theta0
+    ev = restriction_eigenvalues(model, np.mod(theta0, 1.0), N)
+    rows = model.m * N
+    vals = count_below(ev, grid) / rows
+    runs = _flat_runs(vals, flat_tol)
+    mids = [0.5 * (grid[i] + grid[j]) for i, j in runs]
+    tested = uh_test_many(model, mids, n_iter=n_iter, theta0=theta0) \
+        if runs else []
+    runs = [run for run, (is_uh, _) in zip(runs, tested) if is_uh]
+    # one edge below each run that does not start the grid, one above
+    # each run that does not end it
+    edges = [(i - 1, i, r, 0) for r, (i, _) in enumerate(runs) if i > 0] + \
+        [(j + 1, j, r, 1) for r, (_, j) in enumerate(runs)
+         if j < resolution - 1]
+    bounds = [[grid[i], grid[j]] for i, j in runs]
+    refined = _refine_edge(model, [grid[o] for o, _, _, _ in edges],
+                           [grid[n] for _, n, _, _ in edges], n_iter, theta0,
+                           refine_steps)
+    for (_, _, r, side), e in zip(edges, refined):
+        bounds[r][side] = e
     records = []
-    for i, j in _flat_runs(vals, flat_tol):
-        mid = 0.5 * (grid[i] + grid[j])
-        is_uh, _ = uh_test(model, mid, n_iter=n_iter, theta0=theta0)
-        if not is_uh:
-            continue
-        lo = grid[i]
-        hi = grid[j]
-        if i > 0:
-            lo = _refine_edge(model, grid[i - 1], lo, n_iter, theta0, refine_steps)
-        if j < resolution - 1:
-            hi = _refine_edge(model, grid[j + 1], hi, n_iter, theta0, refine_steps)
-        value = float(ids_scan(model, theta0, N, [0.5 * (lo + hi)])[0])
+    for (i, j), (lo, hi) in zip(runs, bounds):
+        value = float(count_below(ev, 0.5 * (lo + hi)) / rows)
         interior = bool(i > 0 and j < resolution - 1
                         and flat_tol < value < 1 - flat_tol)
         records.append(GapRecord(interval=(float(lo), float(hi)),

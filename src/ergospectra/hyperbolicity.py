@@ -39,50 +39,55 @@ class SplittingEstimate:
     n_iter: int = DEFAULT_N_ITER
 
 
-def _forward_sweep(model: OperatorModel, E: float, theta_start, steps: int,
-                   collect_last: int):
-    """QR iteration of the full companion frame along a forward orbit.
+def _qr_sweep(model: OperatorModel, energies: np.ndarray, blocks,
+              collect_last: int, backward: bool):
+    """QR iteration of K full companion frames over the given blocks in order."""
+    m = model.m
+    Cinv = np.linalg.inv(model.C)
+    EI = energies[:, None, None] * np.eye(m)
+    # transfer matrices [[(E - f)C^-1, -C*], [C^-1, 0]], built as
+    # transfer_step builds them; only the top-left block changes per step
+    A = np.zeros((energies.size, 2 * m, 2 * m), dtype=complex)
+    A[:, :m, m:] = -model.C.conj().T
+    A[:, m:, :m] = Cinv
+    Q = np.broadcast_to(np.eye(2 * m, dtype=complex), A.shape).copy()
+    logs = np.zeros((energies.size, 2 * m))
+    frames = []
+    steps = len(blocks)
+    for k, f in enumerate(blocks):
+        if steps - k <= collect_last:
+            frames.append(Q[:, :, :m].copy())
+        A[:, :m, :m] = (EI - f) @ Cinv
+        Q, R = np.linalg.qr(np.linalg.solve(A, Q) if backward else A @ Q)
+        d = np.abs(np.diagonal(R, axis1=1, axis2=2))
+        logs += np.log(np.maximum(d, 1e-300))
+    frames.append(Q[:, :, :m].copy())
+    chi = np.sort(logs / steps, axis=1)[:, ::-1]
+    return chi, np.stack(frames[-(collect_last + 1):])
 
-    Returns per-step Lyapunov estimates (descending) and the leading-m
-    frames collected at the last collect_last orbit points reached.
+
+def _forward_sweep(model: OperatorModel, energies: np.ndarray, blocks,
+                   steps: int, collect_last: int):
+    """QR dichotomy for K energies along the first `steps` orbit blocks.
+
+    Returns per-step Lyapunov estimates (K, 2m), descending, and the
+    leading-m frames (collect_last + 1, K, 2m, m) at the last
+    collect_last + 1 orbit points reached, in orbit order.
     """
-    m = model.m
-    Q = np.eye(2 * m, dtype=complex)
-    logs = np.zeros(2 * m)
-    p = np.atleast_1d(np.asarray(theta_start, dtype=float))
-    frames = []
-    for k in range(steps):
-        if steps - k <= collect_last:
-            frames.append(Q[:, :m].copy())
-        _, A = transfer_step(model, E, p)
-        Q, R = np.linalg.qr(A @ Q)
-        d = np.abs(np.diag(R))
-        logs += np.log(np.maximum(d, 1e-300))
-        p = model.base.advance(p, 1)
-    frames.append(Q[:, :m].copy())
-    chi = np.sort(logs / steps)[::-1]
-    return chi, frames[-(collect_last + 1):]
+    return _qr_sweep(model, energies, blocks[:steps], collect_last, False)
 
 
-def _backward_sweep(model: OperatorModel, E: float, theta_end, steps: int,
-                    collect_last: int):
-    """Same dichotomy run backward; leading columns align with the stable plane."""
-    m = model.m
-    Q = np.eye(2 * m, dtype=complex)
-    logs = np.zeros(2 * m)
-    p = np.atleast_1d(np.asarray(theta_end, dtype=float))
-    frames = []
-    for k in range(steps):
-        if steps - k <= collect_last:
-            frames.append((np.atleast_1d(p).copy(), Q[:, :m].copy()))
-        p = model.base.advance(p, -1)
-        _, A = transfer_step(model, E, p)
-        Q, R = np.linalg.qr(np.linalg.solve(A, Q))
-        d = np.abs(np.diag(R))
-        logs += np.log(np.maximum(d, 1e-300))
-    frames.append((np.atleast_1d(p).copy(), Q[:, :m].copy()))
-    chi = np.sort(logs / steps)[::-1]
-    return chi, frames[-(collect_last + 1):]
+def _backward_sweep(model: OperatorModel, energies: np.ndarray, blocks,
+                    steps: int, collect_last: int):
+    """Same dichotomy run backward over the last `steps` orbit blocks;
+    leading columns align with the stable plane.
+
+    The frames are returned in orbit order, the last one at the base
+    point of blocks[-steps].
+    """
+    chi, frames = _qr_sweep(model, energies, blocks[::-1][:steps],
+                            collect_last, True)
+    return chi, frames[::-1]
 
 
 def _max_angle(F1: np.ndarray, F2: np.ndarray) -> float:
@@ -97,59 +102,78 @@ def uh_test(model: OperatorModel, E: float, n_iter: int = DEFAULT_N_ITER,
             samples: int = DEFAULT_SAMPLES,
             gap_threshold: float = DEFAULT_GAP_THRESHOLD,
             theta0=None):
-    """Dichotomy test at energy E.
+    """Dichotomy test at energy E: the one-energy case of uh_test_many.
 
-    Returns (is_uh, SplittingEstimate or None).  Inconclusive runs are
-    reported as is_uh=False with converged=False.
+    Returns (is_uh, SplittingEstimate).  Inconclusive runs are reported
+    as is_uh=False with converged=False.
+    """
+    return uh_test_many(model, [E], n_iter, samples, gap_threshold, theta0)[0]
+
+
+def uh_test_many(model: OperatorModel, energies, n_iter: int = DEFAULT_N_ITER,
+                 samples: int = DEFAULT_SAMPLES,
+                 gap_threshold: float = DEFAULT_GAP_THRESHOLD,
+                 theta0=None):
+    """Dichotomy test at each of several energies along one orbit.
+
+    The potential blocks of the orbit segment are evaluated once and
+    both sweeps advance all energies together; the invariance,
+    Lagrangian and transversality checks run per energy.  Returns a
+    list of (is_uh, SplittingEstimate), one per energy, in order.
     """
     if not model.base.invertible:
         raise UnsupportedDirection("uh_test needs backward iteration")
     if theta0 is None:
         theta0 = np.zeros(model.base.d)
     theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
+    energies = np.atleast_1d(np.asarray(energies, dtype=float))
     m = model.m
     pts = model.base.orbit(theta0, samples)
-
-    start = model.base.advance(theta0, -n_iter)
-    chi_f, unstable = _forward_sweep(model, E, start, n_iter + samples - 1,
+    steps = n_iter + samples - 1
+    # blocks[i] = f(T^(i - n_iter) theta0): the forward sweep walks
+    # i < steps, the backward sweep i >= n_iter
+    blocks = model.blocks(model.base.advance(theta0, -n_iter), n_iter + steps)
+    chi_f, unstable = _forward_sweep(model, energies, blocks, steps,
                                      samples - 1)
-    end = model.base.advance(theta0, n_iter + samples - 1)
-    chi_b, stable_tagged = _backward_sweep(model, E, end, n_iter + samples - 1,
-                                           samples - 1)
-    stable = [F for _, F in reversed(stable_tagged)]
+    _, stable = _backward_sweep(model, energies, blocks, steps, samples - 1)
 
-    gap = float(chi_f[m - 1] - chi_f[m])
-    converged = True
-    # invariance along consecutive samples
-    for k in range(samples - 1):
-        _, A = transfer_step(model, E, pts[k])
-        if _max_angle(A @ unstable[k], unstable[k + 1]) > ANGLE_TOL:
-            converged = False
-        if _max_angle(A @ stable[k], stable[k + 1]) > ANGLE_TOL:
-            converged = False
-    # the fibers of a genuine splitting are Lagrangian
-    if converged:
-        for F in unstable + stable:
-            try:
-                LagrangianFrame(F, tol_symmetry=1e-6)
-            except Exception:
+    results = []
+    for e, E in enumerate(energies.tolist()):
+        Fu = list(unstable[:, e])
+        Fs = list(stable[:, e])
+        gap = float(chi_f[e, m - 1] - chi_f[e, m])
+        converged = True
+        # invariance along consecutive samples
+        for k in range(samples - 1):
+            _, A = transfer_step(model, E, pts[k])
+            if _max_angle(A @ Fu[k], Fu[k + 1]) > ANGLE_TOL:
                 converged = False
-                break
-    transversal = all(
-        _min_angle_between(unstable[k], stable[k]) > ANGLE_TOL
-        for k in range(samples))
-    is_uh = bool(converged and transversal and gap >= np.log(gap_threshold))
-    splitting = SplittingEstimate(
-        theta_samples=pts, unstable=unstable[:samples], stable=stable[:samples],
-        gap=gap, converged=converged, model=model, E=E, n_iter=n_iter)
-    return is_uh, splitting
+            if _max_angle(A @ Fs[k], Fs[k + 1]) > ANGLE_TOL:
+                converged = False
+        # the fibers of a genuine splitting are Lagrangian
+        if converged:
+            for F in Fu + Fs:
+                try:
+                    LagrangianFrame(F, tol_symmetry=1e-6)
+                except Exception:
+                    converged = False
+                    break
+        transversal = all(
+            _min_angle_between(Fu[k], Fs[k]) > ANGLE_TOL
+            for k in range(samples))
+        is_uh = bool(converged and transversal
+                     and gap >= np.log(gap_threshold))
+        results.append((is_uh, SplittingEstimate(
+            theta_samples=pts, unstable=Fu, stable=Fs, gap=gap,
+            converged=converged, model=model, E=E, n_iter=n_iter)))
+    return results
 
 
 def unstable_frame(model: OperatorModel, E: float, theta, n_iter: int) -> np.ndarray:
     """Unstable-plane frame at one base point via a forward sweep."""
-    start = model.base.advance(theta, -n_iter)
-    _, frames = _forward_sweep(model, E, start, n_iter, 0)
-    return frames[-1]
+    blocks = model.blocks(model.base.advance(theta, -n_iter), n_iter)
+    _, frames = _forward_sweep(model, np.array([float(E)]), blocks, n_iter, 0)
+    return frames[-1, 0]
 
 
 @dataclass

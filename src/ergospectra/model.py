@@ -259,9 +259,14 @@ def restriction_eigenvalues(model: OperatorModel, theta, N: int,
     return eigvals_banded(ab, lower=True)
 
 
-def count_below(eigenvalues: np.ndarray, E: float) -> int:
-    """Number of eigenvalues <= E, counting 1e-12-close ones as below."""
-    return int(np.searchsorted(eigenvalues, E + 1e-12, side="right"))
+def count_below(eigenvalues: np.ndarray, E):
+    """Number of eigenvalues <= E, counting 1e-12-close ones as below.
+
+    E may be an array of energies; the counts are then an array too.
+    """
+    counts = np.searchsorted(eigenvalues, np.asarray(E, dtype=float) + 1e-12,
+                             side="right")
+    return counts if np.ndim(counts) else int(counts)
 
 
 def eigenvalue_count(model: OperatorModel, theta, N: int, E: float) -> float:
@@ -284,5 +289,5 @@ def ids(model: OperatorModel, theta0, N: int, E_grid,
     for s in range(samples):
         theta = np.mod(p0 + s / samples, 1.0)
         ev = restriction_eigenvalues(model, theta, N)
-        total += np.searchsorted(ev, E + 1e-12, side="right")
+        total += count_below(ev, E)
     return total / (samples * model.m * N)

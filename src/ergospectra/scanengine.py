@@ -1,4 +1,4 @@
-"""Deterministic parallel scheduling and orbit-value caching.
+"""Deterministic parallel scheduling.
 
 Jobs are pure functions of picklable payloads; results are merged by
 key, so the numeric output is identical for any worker count or
@@ -8,45 +8,10 @@ completion order.  Failures are collected instead of aborting the scan.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import time
 
-import numpy as np
-
 from .errors import InvalidInput
-from .model import OperatorModel
-
-
-@dataclass
-class OrbitCache:
-    """Precomputed potential blocks f(T^n theta0), shared read-only.
-
-    The blocks are energy independent, so one cache serves a whole
-    E-grid scan; transfer products remain per-job.
-    """
-
-    theta0: np.ndarray
-    blocks: np.ndarray  # (N, m, m)
-    model: OperatorModel
-
-    @classmethod
-    def build(cls, model: OperatorModel, theta0, N: int) -> "OrbitCache":
-        theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
-        return cls(theta0=theta0, blocks=model.blocks(theta0, N), model=model)
-
-    def get(self, n: int) -> np.ndarray:
-        return self.blocks[n]
-
-    def verify(self, seed: int = 0, fraction: float = 0.01) -> float:
-        """Max deviation of a random 1% sample against fresh evaluation."""
-        N = self.blocks.shape[0]
-        rng = np.random.default_rng(seed)
-        count = max(1, int(N * fraction))
-        worst = 0.0
-        for n in rng.integers(0, N, count):
-            fresh = self.model.f(self.model.base.advance(self.theta0, int(n)))
-            worst = max(worst, float(np.abs(fresh - self.blocks[n]).max()))
-        return worst
 
 
 @dataclass

@@ -42,6 +42,15 @@ class TestConfig:
                      "--out", str(tmp_path / "out")])
         assert code == 2
 
+    def test_tol_section_exit_2(self, tmp_path):
+        cfg = dict(FREE_CFG)
+        cfg["tol"] = {"hermitian_asym": 1e-9}
+        out = tmp_path / "out"
+        code = main(["ids", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(out)])
+        assert code == 2
+        assert not (out / "ids.csv").exists()
+
     def test_hash_stable_under_key_order(self):
         a = {"m": 1, "seed": 2}
         b = {"seed": 2, "m": 1}

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from ergospectra import gaps, model as model_module
+from ergospectra.duality import TrigPolynomial, build_dual
 from ergospectra.errors import InvalidInput
 from ergospectra.gaps import (GapRecord, LabelGroup, detect_gaps, _flat_runs,
                               gap_records_csv, label_gap, verify_ids_rot)
-from ergospectra.model import constant_model, free_model
+from ergospectra.model import (constant_model, free_model, ids,
+                               restriction_eigenvalues)
 
 from conftest import GOLDEN
 
@@ -83,6 +86,35 @@ class TestDetectGaps:
         assert rec.ids_value == pytest.approx(0.5, abs=2e-3)
         lo, hi = rec.interval
         assert abs(lo - 2.0) < 0.2 and abs(hi - 8.0) < 0.2
+
+    def test_adjacent_gaps_do_not_overlap(self):
+        # bands narrower than the grid step separate adjacent flat runs of
+        # the degree-2 block dual; the edge bisections must not cross them
+        model = build_dual(TrigPolynomial((1.0, 1.0, 0.0, 1.0, 1.0), GOLDEN))
+        ev = restriction_eigenvalues(model, [0.0], 300)
+        hull = (float(ev[0]) - 0.5, float(ev[-1]) + 0.5)
+        records = detect_gaps(model, hull, 200, 800, n_iter=300)
+        intervals = sorted(r.interval for r in records)
+        assert len(intervals) >= 8
+        for (lo, hi), (next_lo, _) in zip(intervals, intervals[1:]):
+            assert lo < hi < next_lo
+
+    def test_one_eigensolve(self, monkeypatch):
+        calls = []
+        original = model_module.restriction_eigenvalues
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(gaps, "restriction_eigenvalues", counted)
+        monkeypatch.setattr(model_module, "restriction_eigenvalues", counted)
+        model = constant_model(np.diag([0.0, 10.0]))
+        records = detect_gaps(model, (-3, 13), 120, 800, n_iter=400)
+        assert len(calls) == 1
+        # the same values ids() gives at each gap midpoint
+        for rec in records:
+            assert rec.ids_value == ids(model, [0.0], 800, [rec.midpoint])[0]
 
     def test_resolution_guard(self):
         with pytest.raises(InvalidInput):

@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 
 from ergospectra.errors import UnsupportedBase, UnsupportedDirection
-from ergospectra.hyperbolicity import (contraction_fit, section_degree,
-                                       uh_test, unstable_frame)
+from scipy.linalg import subspace_angles
+
+from ergospectra.hyperbolicity import (_backward_sweep, _forward_sweep,
+                                       contraction_fit, section_degree,
+                                       uh_test, uh_test_many, unstable_frame)
 from ergospectra.model import (BaseDynamics, CAT, DOUBLING, ConstantPotential,
-                               OperatorModel, free_model)
+                               OperatorModel, free_model,
+                               restriction_eigenvalues)
 from ergospectra.cocycle import LagrangianFrame, transfer_step
 
 from conftest import random_model
@@ -50,6 +54,68 @@ class TestUhTest:
                               BaseDynamics(CAT))
         is_uh, _ = uh_test(model, 3.0, n_iter=200)
         assert is_uh
+
+
+def band_and_gap_energies(model):
+    """Energies in bands (eigenvalues of H^200) and in gaps (the middle of
+    the widest eigenvalue spacing, and above the spectrum)."""
+    ev = restriction_eigenvalues(model, [0.0], 200)
+    widest = int(np.argmax(np.diff(ev)))
+    return np.array([ev[len(ev) // 3], ev[2 * len(ev) // 3],
+                     0.5 * (ev[widest] + ev[widest + 1]), ev[-1] + 1.0])
+
+
+def reference_sweep(model, E, points, backward, collect_last):
+    """Per-step QR dichotomy through transfer_step, one energy at a time."""
+    m = model.m
+    Q = np.eye(2 * m, dtype=complex)
+    logs = np.zeros(2 * m)
+    frames = []
+    order = points[::-1] if backward else points
+    for k, p in enumerate(order):
+        if len(order) - k <= collect_last:
+            frames.append(Q[:, :m].copy())
+        _, A = transfer_step(model, E, p)
+        Q, R = np.linalg.qr(np.linalg.solve(A, Q) if backward else A @ Q)
+        logs += np.log(np.abs(np.diag(R)))
+    frames.append(Q[:, :m].copy())
+    return np.sort(logs / len(order))[::-1], frames[::-1] if backward else frames
+
+
+class TestBatchedSweep:
+    STEPS = 60
+    COLLECT = 2
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_matches_per_step_reference(self, rng, m, backward):
+        model = random_model(rng, m=m)
+        energies = band_and_gap_energies(model)
+        points = model.base.orbit([0.37], self.STEPS)
+        blocks = model.blocks([0.37], self.STEPS)
+        sweep = _backward_sweep if backward else _forward_sweep
+        chi, frames = sweep(model, energies, blocks, self.STEPS, self.COLLECT)
+        assert frames.shape == (self.COLLECT + 1, energies.size, 2 * m, m)
+        for e, E in enumerate(energies):
+            ref_chi, ref_frames = reference_sweep(model, E, points, backward,
+                                                  self.COLLECT)
+            assert np.abs(chi[e] - ref_chi).max() < 1e-10
+            for F, G in zip(frames[:, e], ref_frames):
+                assert np.max(subspace_angles(F, G)) < 1e-8
+
+    def test_many_equals_single_calls(self, rng):
+        model = random_model(rng, m=2)
+        energies = np.concatenate([band_and_gap_energies(model),
+                                   np.linspace(-6.0, 6.0, 8)])
+        assert energies.size == 12
+        many = uh_test_many(model, energies, n_iter=150, theta0=[0.1])
+        for E, (flag, s) in zip(energies, many):
+            single_flag, single = uh_test(model, E, n_iter=150, theta0=[0.1])
+            assert flag == single_flag
+            assert s.converged == single.converged
+            assert s.gap == single.gap
+        assert any(flag for flag, _ in many)
+        assert not all(flag for flag, _ in many)
 
 
 class TestContraction:

@@ -42,6 +42,15 @@ class TestBaseDynamics:
             BaseDynamics("horocycle")
 
 
+class TestBlocks:
+    def test_entries_match_fresh_evaluation(self, rng):
+        model = random_model(rng, m=2)
+        blocks = model.blocks([0.3], 500)
+        for n in rng.integers(0, 500, 5):
+            fresh = model.f(model.base.advance([0.3], int(n)))
+            assert np.abs(fresh - blocks[n]).max() < 1e-14
+
+
 class TestFiniteRestriction:
     def test_free_laplacian(self):
         H = finite_restriction(free_model(), [0.0], 3)

@@ -1,11 +1,7 @@
-import numpy as np
 import pytest
 
 from ergospectra.errors import InvalidInput
-from ergospectra.model import free_model
-from ergospectra.scanengine import OrbitCache, scan
-
-from conftest import random_model
+from ergospectra.scanengine import scan
 
 
 def square_job(x):
@@ -16,26 +12,6 @@ def flaky_job(x):
     if x == 2:
         raise ValueError("boom")
     return -x
-
-
-class TestOrbitCache:
-    def test_entries_match_fresh_evaluation(self, rng):
-        model = random_model(rng, m=2)
-        cache = OrbitCache.build(model, [0.3], 500)
-        assert cache.verify() < 1e-14
-
-    def test_get(self, rng):
-        model = random_model(rng, m=1)
-        cache = OrbitCache.build(model, [0.3], 10)
-        direct = model.f(model.base.advance([0.3], 4))
-        assert np.abs(cache.get(4) - direct).max() < 1e-14
-
-    def test_cached_blocks_feed_identical_products(self, rng):
-        # the hit path must not perturb downstream numerics
-        model = free_model()
-        cache = OrbitCache.build(model, [0.0], 8)
-        fresh = model.blocks([0.0], 8)
-        assert np.array_equal(cache.blocks, fresh)
 
 
 class TestScan:
