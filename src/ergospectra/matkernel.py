@@ -77,22 +77,6 @@ def det_with_arg(M) -> tuple[float, float]:
     return modulus, arg
 
 
-def det_small(M: np.ndarray) -> complex:
-    """Determinant specialized for the tiny sizes the trackers use."""
-    n = M.shape[0]
-    if n == 1:
-        return complex(M[0, 0])
-    if n == 2:
-        return complex(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])
-    if n == 3:
-        return complex(
-            M[0, 0] * (M[1, 1] * M[2, 2] - M[1, 2] * M[2, 1])
-            - M[0, 1] * (M[1, 0] * M[2, 2] - M[1, 2] * M[2, 0])
-            + M[0, 2] * (M[1, 0] * M[2, 1] - M[1, 1] * M[2, 0])
-        )
-    return complex(np.linalg.det(M))
-
-
 def polar(C) -> tuple[np.ndarray, np.ndarray]:
     """Polar decomposition C = Q P with Q unitary and P positive definite."""
     A = as_complex_matrix(C, square=True)

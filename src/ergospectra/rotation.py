@@ -15,7 +15,8 @@ import itertools
 
 import numpy as np
 
-from .errors import (InvalidInput, RefinementExhausted, UnsupportedBase)
+from .errors import (DegenerateFrame, InvalidInput, RefinementExhausted,
+                     UnsupportedBase)
 from .matkernel import GlPath
 from .model import OperatorModel, TORUS
 from .cocycle import LagrangianFrame, frame_to_unitary, transfer_step
@@ -40,9 +41,12 @@ def _batch_det(A: np.ndarray) -> np.ndarray:
     if m == 2:
         return A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
     if m == 3:
-        return (A[..., 0, 0] * (A[..., 1, 1] * A[..., 2, 2] - A[..., 1, 2] * A[..., 2, 1])
-                - A[..., 0, 1] * (A[..., 1, 0] * A[..., 2, 2] - A[..., 1, 2] * A[..., 2, 0])
-                + A[..., 0, 2] * (A[..., 1, 0] * A[..., 2, 1] - A[..., 1, 1] * A[..., 2, 0]))
+        # named minors: NumPy reuses a large temporary operand of * in
+        # place, which changes the rounding with the length of the stack
+        c0 = A[..., 1, 1] * A[..., 2, 2] - A[..., 1, 2] * A[..., 2, 1]
+        c1 = A[..., 1, 0] * A[..., 2, 2] - A[..., 1, 2] * A[..., 2, 0]
+        c2 = A[..., 1, 0] * A[..., 2, 1] - A[..., 1, 1] * A[..., 2, 0]
+        return A[..., 0, 0] * c0 - A[..., 0, 1] * c1 + A[..., 0, 2] * c2
     return np.linalg.det(A)
 
 
@@ -205,9 +209,10 @@ def _normalize(frames: np.ndarray) -> np.ndarray:
 def _step_mats(path: HomotopyPath, n: int, ts: np.ndarray, conjugator):
     M = path.step_matrices(n, ts)
     if conjugator is not None:
-        M = M.copy()
-        for i, t in enumerate(ts):
-            M[i] = np.linalg.inv(conjugator(n + float(t))) @ M[i]
+        # one stacked inverse per block: inv(B) @ M rounds exactly as the
+        # per-time products do, where solve(B, M) moves the last digits
+        B = np.array([conjugator(n + float(t)) for t in ts])
+        M = np.linalg.inv(B) @ M
     return M
 
 
@@ -216,10 +221,25 @@ BLOCK = 64
 RENORM_GAMMA = 0.5
 
 
-def _gamma(F: np.ndarray) -> float:
-    """min over the batch of sigma_min / sigma_max of each frame stack."""
-    s = np.linalg.svd(F, compute_uv=False)
-    return float(np.min(s[..., -1] / s[..., 0]))
+def _certified_prefix(dt, chord, margin, smin0, smin1, coef) -> int:
+    """Number of leading intervals of a block that pass the certificate.
+
+    Row i describes the interval of length dt[i] from sample i-1 (or
+    the block's start) to sample i: chord (T, B) and margin (T,) bound
+    sup ||F'|| on it, smin0 and smin1 (T, B) are sigma_min at its ends.
+    The prefix ends at the first row where the pinch sc is not positive
+    or the phase bound reaches CERT_TURNS.  The log is masked where
+    sc <= 0, so a failing row leaks no warning.
+    """
+    L = chord + margin[:, None]
+    sc = 0.5 * (smin0 + smin1 - L * dt[:, None])
+    ok = sc > 0.0
+    one = np.ones_like(sc)
+    q0 = np.divide(smin0, sc, out=one.copy(), where=ok)
+    q1 = np.divide(smin1, sc, out=one, where=ok)
+    bound = coef * (np.log(q0) + np.log(q1))
+    fail = ~ok.all(axis=1) | (bound.max(axis=1) >= CERT_TURNS)
+    return int(np.argmax(fail)) if fail.any() else dt.size
 
 
 def _certified_samples(path: HomotopyPath, n: int, base: np.ndarray,
@@ -243,6 +263,10 @@ def _certified_samples(path: HomotopyPath, n: int, base: np.ndarray,
     between samples is impossible by construction.  Frames are QR
     renormalized (a right action, so phase-neutral) whenever gamma
     degrades, keeping the bound proportional to g alone.
+
+    Sample i of a block is only compared with sample i-1, so the whole
+    block of BLOCK candidate times is certified in one pass and the
+    accepted samples are its prefix up to the first failing interval.
     """
     m = path.m
     coef = max(2.0 * m / np.pi, 1.0)
@@ -252,12 +276,15 @@ def _certified_samples(path: HomotopyPath, n: int, base: np.ndarray,
     d2 = np.diff(Mc, 2, axis=0)
     cell_curv = CURVATURE_SAFETY * ncoarse ** 2 * np.sqrt(
         np.sum(np.abs(d2) ** 2, axis=(1, 2)))  # per interior node
+    nodes = np.arange(cell_curv.size)
 
     def curvature(a, b):
-        lo = max(int(a * ncoarse) - 1, 0)
-        hi = min(int(np.ceil(b * ncoarse)), ncoarse - 2)
-        return float(cell_curv[lo:hi + 1].max()) if hi >= lo else float(
-            cell_curv.max())
+        """Max of cell_curv over the cells each interval [a, b] touches."""
+        lo = np.maximum((a * ncoarse).astype(int) - 1, 0)
+        hi = np.minimum(np.ceil(b * ncoarse).astype(int), ncoarse - 2)
+        inside = (nodes >= lo[:, None]) & (nodes <= hi[:, None])
+        curv = np.where(inside, cell_curv, -np.inf).max(axis=1)
+        return np.where(hi >= lo, curv, cell_curv.max())
 
     t0 = 0.0
     anchor = base  # frames at path time t are M(t) @ anchor
@@ -277,32 +304,28 @@ def _certified_samples(path: HomotopyPath, n: int, base: np.ndarray,
         F = np.einsum("tij,bjk->tbik", M, anchor)
         s = np.linalg.svd(F, compute_uv=False)
         anorm = float(np.linalg.norm(anchor, axis=(1, 2)).max())
-        accepted = 0
-        prev_t, prev_F, prev_s = t0, F0, s0
-        for i in range(ts.size):
-            dt = ts[i] - prev_t
-            if dt <= 0.0:
-                continue
-            # sup ||F'|| on the interval: chord slope plus curvature margin
-            chord = np.linalg.norm(F[i] - prev_F, axis=(1, 2)) / dt
-            L = chord + dt * curvature(prev_t, ts[i]) * anorm  # (B,)
-            smin0, smin1 = prev_s[..., -1], s[i][..., -1]
-            sc = 0.5 * (smin0 + smin1 - L * dt)
-            if np.any(sc <= 0.0):
-                break
-            bound = coef * (np.log(smin0 / sc) + np.log(smin1 / sc))
-            if float(bound.max()) >= CERT_TURNS:
-                break
-            yield ts[i], F[i]
-            samples += 1
-            accepted = i + 1
-            prev_t, prev_F, prev_s = ts[i], F[i], s[i]
+        # interval i runs from sample i-1 (sample -1 is the block start)
+        prev_t = np.concatenate(([t0], ts[:-1]))
+        dF = np.empty_like(F)
+        dF[0] = F[0] - F0
+        dF[1:] = F[1:] - F[:-1]
+        dt = ts - prev_t
+        # sup ||F'|| on each interval: chord slope plus curvature margin
+        chord = np.linalg.norm(dF, axis=(2, 3)) / dt[:, None]  # (T, B)
+        smin = s[..., -1]
+        smin0 = np.concatenate((s0[None, ..., -1], smin[:-1]))
+        margin = dt * curvature(prev_t, ts) * anorm
+        accepted = _certified_prefix(dt, chord, margin, smin0, smin, coef)
         if accepted == 0:
             h *= 0.5
             continue
-        t0, F0, s0 = prev_t, prev_F, prev_s
+        for i in range(accepted):
+            yield ts[i], F[i]
+        samples += accepted
+        t0, F0, s0 = ts[accepted - 1], F[accepted - 1], s[accepted - 1]
         # re-anchor by QR: a right GL(m) action, leaving W and phases intact
-        if _gamma(F0) < RENORM_GAMMA and t0 < 1.0:
+        # when the worst sigma_min / sigma_max of the stacks degrades
+        if np.min(s0[..., -1] / s0[..., 0]) < RENORM_GAMMA and t0 < 1.0:
             Q = _normalize(F0)
             anchor = np.linalg.solve(M[accepted - 1][None], Q)
             F0 = Q
@@ -338,16 +361,16 @@ def track_frames(model: OperatorModel, E: float, theta0, frames: np.ndarray,
             base = G1 @ (conjugator(float(n)) @ frames)
         else:
             base = G1 @ frames
-        F_end = None
-        count = 0
-        for _, F in _certified_samples(path, n, base, substeps, conjugator):
-            ph = _det_phase(F, m)
-            acc += _wrap(ph - last)
-            last = ph
-            F_end = F
-            count += 1
-        budget_used = max(budget_used, count)
-        frames = _normalize(F_end)
+        Fs = np.array([F for _, F in _certified_samples(
+            path, n, base, substeps, conjugator)])
+        phs = _det_phase(Fs, m)
+        # nearest-lift steps, summed in sample order (accumulate is
+        # sequential, so acc matches a per-sample running sum bitwise)
+        steps = _wrap(np.diff(phs, axis=0, prepend=last[None]))
+        acc = np.add.accumulate(np.concatenate((acc[None], steps)))[-1]
+        last = phs[-1]
+        budget_used = max(budget_used, len(Fs))
+        frames = _normalize(Fs[-1])
     ledgers = [PhaseLedger(accumulated=float(acc[b]), last_phase=float(last[b]),
                            substep_budget=budget_used, steps=N) for b in range(B)]
     return acc, ledgers, frames
@@ -519,6 +542,30 @@ def _eigenphases_mod(W: np.ndarray) -> np.ndarray:
     return np.sort(np.mod(np.angle(np.linalg.eigvals(W)) / (2 * np.pi), 1.0))
 
 
+RANK_DEFICIENT, X_MINUS_IY_SINGULAR = 1, 2
+
+
+def _unitary_eigenphases(frames: np.ndarray):
+    """Sorted eigenphases of W (turns mod 1) for a stack of frames.
+
+    frames: (k, 2m, m).  Returns (phases (k, m), status (k,)), where a
+    nonzero status marks a frame that LagrangianFrame (rank) or
+    frame_to_unitary (X - iY) would reject, with the same tolerances;
+    the phases of such a frame are meaningless.
+    """
+    m = frames.shape[-1]
+    X, Y = frames[:, :m], frames[:, m:]
+    s = np.linalg.svd(frames, compute_uv=False)
+    den = X - 1j * Y
+    sd = np.linalg.svd(den, compute_uv=False)
+    status = np.zeros(len(frames), dtype=int)
+    status[sd[:, -1] <= 1e-12 * np.maximum(1.0, sd[:, 0])] = X_MINUS_IY_SINGULAR
+    status[s[:, -1] <= 1e-10 * s[:, 0]] = RANK_DEFICIENT
+    den[status != 0] = np.eye(m)  # keep the stacked inverse finite
+    W = (X + 1j * Y) @ np.linalg.inv(den)
+    return _eigenphases_mod(W), status
+
+
 def _anchor_eigenphases(model: OperatorModel, E: float, theta0, N: int,
                         substeps: int = START_SUBSTEPS) -> np.ndarray:
     """Eigenphase branches at t = N, anchored at 0 at the standard frame."""
@@ -529,15 +576,18 @@ def _anchor_eigenphases(model: OperatorModel, E: float, theta0, N: int,
     branches = np.zeros(m)  # W(0) = I
     for n in range(N):
         base = (G1 @ frame)[None]
-        F_end = None
-        for _, F in _certified_samples(path, n, base, substeps, None):
-            W = frame_to_unitary(LagrangianFrame(F[0], tol_symmetry=np.inf))
-            branches, worst = _match_phases(branches, _eigenphases_mod(W))
+        Fs = np.array([F[0] for _, F in _certified_samples(
+            path, n, base, substeps, None)])
+        for phases, status in zip(*_unitary_eigenphases(Fs)):
+            if status == RANK_DEFICIENT:
+                raise InvalidInput("frame is rank deficient")
+            if status == X_MINUS_IY_SINGULAR:
+                raise DegenerateFrame("X - iY is numerically singular")
+            branches, worst = _match_phases(branches, phases)
             if worst >= QUARTER_TURN:
                 raise RefinementExhausted(
                     "eigenphase branch moved a quarter turn on a certified grid")
-            F_end = F
-        frame, _ = np.linalg.qr(F_end[0])
+        frame, _ = np.linalg.qr(Fs[-1])
     return branches
 
 
