@@ -12,14 +12,13 @@ from .errors import (DegenerateAction, DegenerateFrame, DegreeZeroLeading,
                      EmptySet, ErgospectraError, InvalidInput, InvalidLaw,
                      RefineGrid, RefinementExhausted, SingularMatrix,
                      UnsupportedBase, UnsupportedDirection)
-from .tolerances import DEFAULT, ToleranceProfile
 from .model import (BaseDynamics, ConstantPotential, OperatorModel,
                     ScalarTrigPotential, TrigBlockPotential, constant_model,
                     eigenvalue_count, finite_restriction, free_model, ids,
                     restriction_eigenvalues, torus_rotation)
 from .cocycle import (LagrangianFrame, cayley, det_kernel_test,
-                      frame_to_unitary, mobius_act, transfer_product,
-                      transfer_step)
+                      frame_to_unitary, mobius_act, transfer_matrices,
+                      transfer_product, transfer_step)
 from .rotation import (HomotopyPath, PhaseCurves, PhaseLedger, bridge_terms,
                        char_poly_identity, conjugation_shift, omega_matrix,
                        phase_curves, rot_number, rot_number_batch)

@@ -21,7 +21,8 @@ from .errors import ErgospectraError
 from .model import (BaseDynamics, ConstantPotential, OperatorModel,
                     TrigBlockPotential, ids as ids_scan)
 from .rotation import rot_number
-from .hyperbolicity import uh_test
+from .hyperbolicity import (DEFAULT_GAP_THRESHOLD, DEFAULT_N_ITER,
+                            uh_test_many)
 from .gaps import LabelGroup, detect_gaps, gap_records_csv, label_gap, verify_ids_rot
 from .perturb import RandomDiagonalLaw, SpectralSet, check_bigstar, star
 from .duality import TrigPolynomial, amo_dual_polynomial, build_dual, \
@@ -215,8 +216,8 @@ def _write_json(path: pathlib.Path, cfg: dict, payload: dict):
     _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-# worker functions must live at module level so the process pool can
-# pickle them; each payload carries the whole config for rebuilding
+# the rot worker must live at module level so the process pool can
+# pickle it; each payload carries the whole config for rebuilding
 
 def _rot_job(payload):
     cfg, E = payload
@@ -224,18 +225,6 @@ def _rot_job(payload):
     estimate, ledger = rot_number(model, E, _theta0(cfg, model),
                                   N=cfg["scan"]["N"])
     return estimate, ledger.steps
-
-
-def _uh_job(payload):
-    cfg, E = payload
-    model = build_model(cfg)
-    opts = cfg.get("uh", {})
-    flag, splitting = uh_test(model, E,
-                              n_iter=opts.get("n_iter", 2000),
-                              gap_threshold=opts.get("gap_threshold",
-                                                     float(np.exp(0.01))),
-                              theta0=_theta0(cfg, model))
-    return int(flag), int(splitting.converged), splitting.gap
 
 
 def cmd_ids(cfg: dict, out: pathlib.Path, workers: int) -> int:
@@ -263,14 +252,17 @@ def cmd_rot(cfg: dict, out: pathlib.Path, workers: int) -> int:
 
 def cmd_uh(cfg: dict, out: pathlib.Path, workers: int) -> int:
     grid = _grid(cfg)
-    result = scan(_uh_job, [(cfg, float(e)) for e in grid],
-                  keys=list(range(grid.size)), workers=workers)
-    if not result.ok:
-        print(f"failed jobs: {result.failures}", file=sys.stderr)
-        return 1
+    model = build_model(cfg)
+    opts = cfg.get("uh", {})
+    # one batched dichotomy sweep over the whole grid; each energy's
+    # result equals its own uh_test call
+    results = uh_test_many(
+        model, grid, n_iter=opts.get("n_iter", DEFAULT_N_ITER),
+        gap_threshold=opts.get("gap_threshold", DEFAULT_GAP_THRESHOLD),
+        theta0=_theta0(cfg, model))
     rows = "".join(
-        f"{float(e)!r},{result.values[i][0]},{result.values[i][1]},"
-        f"{result.values[i][2]!r}\n" for i, e in enumerate(grid))
+        f"{float(e)!r},{int(flag)},{int(s.converged)},{s.gap!r}\n"
+        for e, (flag, s) in zip(grid, results))
     _write(out / "uh.csv", _header(cfg) + "E,is_uh,converged,gap\n" + rows)
     return 0
 
@@ -283,7 +275,8 @@ def cmd_gaps(cfg: dict, out: pathlib.Path, workers: int) -> int:
     opts = cfg.get("gaps", {})
     records = detect_gaps(model, (grid[0], grid[-1]),
                           opts.get("resolution", max(50, grid.size)), N,
-                          theta0=theta0, n_iter=opts.get("n_iter", 2000))
+                          theta0=theta0,
+                          n_iter=opts.get("n_iter", DEFAULT_N_ITER))
     alpha = model.base.alpha
     if model.base.kind == "torus_rotation":
         label_alpha = model.meta.get("alpha")

@@ -88,6 +88,27 @@ class LagrangianFrame:
         return LagrangianFrame(Q)
 
 
+def transfer_matrices(model: OperatorModel, E, blocks) -> np.ndarray:
+    """Conjugated transfer matrices [[(E - f)C^-1, -C*], [C^-1, 0]].
+
+    blocks is a stack of potential values f, shape (..., m, m).  E is a
+    scalar or an array of energies; an array adds its shape as leading
+    axes, so the result has shape E.shape + blocks.shape[:-2] + (2m, 2m).
+    C^-1 and C* are formed once per call.
+    """
+    m = model.m
+    Cinv = np.linalg.inv(model.C)
+    E = np.asarray(E)
+    blocks = np.asarray(blocks)
+    EI = E.reshape(E.shape + (1,) * (blocks.ndim - 2) + (1, 1)) * np.eye(m)
+    top = (EI - blocks) @ Cinv
+    A = np.zeros(top.shape[:-2] + (2 * m, 2 * m), dtype=complex)
+    A[..., :m, :m] = top
+    A[..., :m, m:] = -model.C.conj().T
+    A[..., m:, :m] = Cinv
+    return A
+
+
 def transfer_step(model: OperatorModel, E: float, theta):
     """One-step transfer matrices (hat form, conjugated form) at theta."""
     m = model.m
@@ -98,33 +119,21 @@ def transfer_step(model: OperatorModel, E: float, theta):
     Ahat[:m, :m] = Cinv @ (E * np.eye(m) - f)
     Ahat[:m, m:] = -Cinv @ C.conj().T
     Ahat[m:, :m] = np.eye(m)
-    A = np.zeros((2 * m, 2 * m), dtype=complex)
-    A[:m, :m] = (E * np.eye(m) - f) @ Cinv
-    A[:m, m:] = -C.conj().T
-    A[m:, :m] = Cinv
-    return Ahat, A
+    return Ahat, transfer_matrices(model, E, f)
 
 
-def transfer_product(model: OperatorModel, E: float, theta, n: int,
-                     conjugated: bool = True) -> np.ndarray:
+def transfer_product(model: OperatorModel, E: float, theta, n: int) -> np.ndarray:
     """n-step cocycle product; identity at n=0, inverse product for n<0."""
-    m = model.m
-    if n == 0:
-        return np.eye(2 * m, dtype=complex)
     if n < 0 and not model.base.invertible:
         raise UnsupportedDirection("backward product on a non-invertible base")
-    P = np.eye(2 * m, dtype=complex)
-    idx = 1 if conjugated else 0
-    if n > 0:
-        p = np.atleast_1d(np.asarray(theta, dtype=float))
-        for _ in range(n):
-            P = transfer_step(model, E, p)[idx] @ P
-            p = model.base.advance(p, 1)
-    else:
-        p = np.atleast_1d(np.asarray(theta, dtype=float))
-        for _ in range(-n):
-            p = model.base.advance(p, -1)
-            P = np.linalg.inv(transfer_step(model, E, p)[idx]) @ P
+    start = theta if n >= 0 else model.base.advance(theta, n)
+    steps = transfer_matrices(model, E, model.blocks(start, abs(n)))
+    if n < 0:
+        # A_{E,n}(theta) = A(T^n theta)^-1 ... A(T^-1 theta)^-1 for n < 0
+        steps = np.linalg.inv(steps[::-1])
+    P = np.eye(2 * model.m, dtype=complex)
+    for A in steps:
+        P = A @ P
     return P
 
 

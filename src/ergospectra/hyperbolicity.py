@@ -17,12 +17,13 @@ from scipy.linalg import subspace_angles
 
 from .errors import RefineGrid, UnsupportedBase, UnsupportedDirection
 from .model import OperatorModel, TORUS
-from .cocycle import LagrangianFrame, frame_to_unitary, transfer_step
+from .cocycle import LagrangianFrame, frame_to_unitary, transfer_matrices
 
 DEFAULT_N_ITER = 2000
 DEFAULT_SAMPLES = 3
 DEFAULT_GAP_THRESHOLD = float(np.exp(0.01))
 ANGLE_TOL = 1e-6
+SWEEP_CHUNK = 64  # orbit steps whose transfer matrices are formed together
 
 
 @dataclass
@@ -43,21 +44,20 @@ def _qr_sweep(model: OperatorModel, energies: np.ndarray, blocks,
               collect_last: int, backward: bool):
     """QR iteration of K full companion frames over the given blocks in order."""
     m = model.m
-    Cinv = np.linalg.inv(model.C)
-    EI = energies[:, None, None] * np.eye(m)
-    # transfer matrices [[(E - f)C^-1, -C*], [C^-1, 0]], built as
-    # transfer_step builds them; only the top-left block changes per step
-    A = np.zeros((energies.size, 2 * m, 2 * m), dtype=complex)
-    A[:, :m, m:] = -model.C.conj().T
-    A[:, m:, :m] = Cinv
-    Q = np.broadcast_to(np.eye(2 * m, dtype=complex), A.shape).copy()
+    Q = np.broadcast_to(np.eye(2 * m, dtype=complex),
+                        (energies.size, 2 * m, 2 * m)).copy()
     logs = np.zeros((energies.size, 2 * m))
     frames = []
     steps = len(blocks)
-    for k, f in enumerate(blocks):
+    for k in range(steps):
+        if k % SWEEP_CHUNK == 0:
+            # (K, SWEEP_CHUNK, 2m, 2m) at a time: memory stays O(K) however
+            # long the orbit
+            chunk = transfer_matrices(model, energies,
+                                      blocks[k:k + SWEEP_CHUNK])
+        A = chunk[:, k % SWEEP_CHUNK]
         if steps - k <= collect_last:
             frames.append(Q[:, :, :m].copy())
-        A[:, :m, :m] = (EI - f) @ Cinv
         Q, R = np.linalg.qr(np.linalg.solve(A, Q) if backward else A @ Q)
         d = np.abs(np.diagonal(R, axis1=1, axis2=2))
         logs += np.log(np.maximum(d, 1e-300))
@@ -136,6 +136,9 @@ def uh_test_many(model: OperatorModel, energies, n_iter: int = DEFAULT_N_ITER,
     chi_f, unstable = _forward_sweep(model, energies, blocks, steps,
                                      samples - 1)
     _, stable = _backward_sweep(model, energies, blocks, steps, samples - 1)
+    # (K, samples - 1, 2m, 2m): the steps between consecutive samples
+    sample_steps = transfer_matrices(model, energies,
+                                     blocks[n_iter:n_iter + samples - 1])
 
     results = []
     for e, E in enumerate(energies.tolist()):
@@ -144,8 +147,7 @@ def uh_test_many(model: OperatorModel, energies, n_iter: int = DEFAULT_N_ITER,
         gap = float(chi_f[e, m - 1] - chi_f[e, m])
         converged = True
         # invariance along consecutive samples
-        for k in range(samples - 1):
-            _, A = transfer_step(model, E, pts[k])
+        for k, A in enumerate(sample_steps[e]):
             if _max_angle(A @ Fu[k], Fu[k + 1]) > ANGLE_TOL:
                 converged = False
             if _max_angle(A @ Fs[k], Fs[k + 1]) > ANGLE_TOL:
@@ -201,8 +203,6 @@ def section_degree(splitting: SplittingEstimate, grid: int = 64,
             n_pts *= 2
         else:
             raise RefineGrid(f"coordinate loop {j} unresolved at {n_pts} points")
-        if not ok:
-            raise RefineGrid(f"coordinate loop {j} unresolved at {n_pts} points")
         if abs(total - round(total)) > 1e-3:
             raise RefineGrid(f"winding {total} not integral on loop {j}")
         r[j] = int(round(total))
@@ -230,15 +230,11 @@ def contraction_fit(model: OperatorModel, E: float,
                     splitting: SplittingEstimate, n_max: int = 50):
     """Fit ||A_n v_s|| ~ c L^{-n} on the stable fiber; returns (c, L)."""
     theta = splitting.theta_samples[0]
-    v = splitting.stable[0][:, 0]
+    w = splitting.stable[0][:, 0]
     norms = []
-    p = np.atleast_1d(np.asarray(theta, dtype=float))
-    w = v.copy()
-    for _ in range(n_max):
-        _, A = transfer_step(model, E, p)
+    for A in transfer_matrices(model, E, model.blocks(theta, n_max)):
         w = A @ w
         norms.append(float(np.linalg.norm(w)))
-        p = model.base.advance(p, 1)
     # roundoff re-injects the unstable direction once the stable part
     # bottoms out; fit only the initial decaying segment
     cut = max(int(np.argmin(norms)) + 1, 3)

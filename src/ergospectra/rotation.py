@@ -19,7 +19,7 @@ from .errors import (DegenerateFrame, InvalidInput, RefinementExhausted,
                      UnsupportedBase)
 from .matkernel import GlPath
 from .model import OperatorModel, TORUS
-from .cocycle import LagrangianFrame, frame_to_unitary, transfer_step
+from .cocycle import LagrangianFrame, frame_to_unitary, transfer_matrices
 
 MAX_SUBSTEPS = 2 ** 14
 START_SUBSTEPS = 16
@@ -69,7 +69,6 @@ class PhaseLedger:
 
     accumulated: float = 0.0
     last_phase: float = 0.0
-    substep_budget: int = START_SUBSTEPS
     steps: int = 0
 
     def record(self, phase: float) -> float:
@@ -90,15 +89,6 @@ class _VCache:
     def __init__(self, C):
         self.path = GlPath(C)
         self._table = {}
-
-    def get(self, t: float):
-        key = float(t)
-        hit = self._table.get(key)
-        if hit is None:
-            V = self.path(t)
-            hit = (np.linalg.inv(V), V.conj().T)
-            self._table[key] = hit
-        return hit
 
     def pair_many(self, ts: np.ndarray):
         key = ts.tobytes()
@@ -122,47 +112,19 @@ class HomotopyPath:
                  vcache: _VCache | None = None):
         self.model = model
         self.E = float(E)
-        self.theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
-        m = model.m
-        self.m = m
+        self.m = model.m
+        self.N = N
         self.CCstar = model.C @ model.C.conj().T
         self.vcache = vcache if vcache is not None else _VCache(model.C)
-        self._blocks = model.blocks(self.theta0, N) if N > 0 else np.empty((0, m, m), complex)
-        self._orbit = model.base.orbit(self.theta0, max(N, 1))
-        self._steps = {}
-
-    def _block(self, n: int) -> np.ndarray:
-        if n >= len(self._blocks):
-            pts = self.model.base.orbit(self.theta0, n + 1)
-            extra = np.array([self.model.f(p) for p in pts[len(self._blocks):]])
-            self._blocks = np.concatenate([self._blocks, extra]) if len(self._blocks) else extra
-            self._orbit = pts
-        return self._blocks[n]
-
-    def theta_at(self, n: int) -> np.ndarray:
-        self._block(n)
-        return self._orbit[n]
-
-    def step_matrix(self, n: int, t: float) -> np.ndarray:
-        """G1^{-1} G2(t) G1 ... unassembled: returns M(t) = G1^{-1} G2(t),
-        meant to act on G1-premultiplied frames."""
-        m = self.m
-        I = np.eye(m)
-        D = self.E * I - self._block(n) - self.CCstar - I
-        Vinv, Vst = self.vcache.get(t)
-        M = np.empty((2 * m, 2 * m), dtype=complex)
-        M[:m, :m] = (I + t * t * D + t * self.CCstar) @ Vinv
-        M[:m, m:] = (t * D + self.CCstar) @ Vst
-        M[m:, :m] = t * Vinv
-        M[m:, m:] = Vst
-        return M
+        self._blocks = model.blocks(theta0, N)
 
     def step_matrices(self, n: int, ts) -> np.ndarray:
-        """step_matrix for an array of t values, shape (T, 2m, 2m)."""
+        """M(t) = G1^{-1} G2(t) on unit step n for an array of t values,
+        shape (T, 2m, 2m); meant to act on G1-premultiplied frames."""
         m = self.m
         ts = np.asarray(ts, dtype=float)
         I = np.eye(m)
-        D = self.E * I - self._block(n) - self.CCstar - I
+        D = self.E * I - self._blocks[n] - self.CCstar - I
         Vinv, Vst = self.vcache.pair_many(ts)
         t = ts[:, None, None]
         M = np.empty((ts.size, 2 * m, 2 * m), dtype=complex)
@@ -172,14 +134,6 @@ class HomotopyPath:
         M[:, m:, m:] = Vst
         return M
 
-    def one_step(self, n: int) -> np.ndarray:
-        """Conjugated transfer matrix A_E(T^n theta)."""
-        A = self._steps.get(n)
-        if A is None:
-            A = transfer_step(self.model, self.E, self.theta_at(n))[1]
-            self._steps[n] = A
-        return A
-
     def G1(self) -> np.ndarray:
         m = self.m
         G = np.eye(2 * m, dtype=complex)
@@ -187,18 +141,17 @@ class HomotopyPath:
         return G
 
     def evaluate(self, t: float) -> np.ndarray:
-        """Full P^t(theta) including the cocycle extension."""
-        if t < 0:
-            raise InvalidInput("path parameter must be nonnegative")
+        """Full P^t(theta) including the cocycle extension, 0 <= t <= N."""
+        if not 0 <= t <= self.N:
+            raise InvalidInput(f"path parameter must lie in [0, {self.N}]")
         n = int(np.floor(t))
         frac = t - n
-        m = self.m
-        A = np.eye(2 * m, dtype=complex)
-        for k in range(n):
-            A = self.one_step(k) @ A
+        A = np.eye(2 * self.m, dtype=complex)
+        for step in transfer_matrices(self.model, self.E, self._blocks[:n]):
+            A = step @ A
         if frac == 0.0:
             return A
-        return self.step_matrix(n, frac) @ self.G1() @ A
+        return self.step_matrices(n, [frac])[0] @ self.G1() @ A
 
 
 def _normalize(frames: np.ndarray) -> np.ndarray:
@@ -355,7 +308,6 @@ def track_frames(model: OperatorModel, E: float, theta0, frames: np.ndarray,
     phases = _det_phase(frames, m)
     acc = np.zeros(B)
     last = phases.copy()
-    budget_used = substeps
     for n in range(N):
         if conjugator is not None:
             base = G1 @ (conjugator(float(n)) @ frames)
@@ -369,10 +321,9 @@ def track_frames(model: OperatorModel, E: float, theta0, frames: np.ndarray,
         steps = _wrap(np.diff(phs, axis=0, prepend=last[None]))
         acc = np.add.accumulate(np.concatenate((acc[None], steps)))[-1]
         last = phs[-1]
-        budget_used = max(budget_used, len(Fs))
         frames = _normalize(Fs[-1])
     ledgers = [PhaseLedger(accumulated=float(acc[b]), last_phase=float(last[b]),
-                           substep_budget=budget_used, steps=N) for b in range(B)]
+                           steps=N) for b in range(B)]
     return acc, ledgers, frames
 
 
@@ -421,16 +372,15 @@ def char_poly_identity(model: OperatorModel, theta, N: int, z: complex) -> float
     m = model.m
     # propagate the (U(n+1); U(n)) stack with per-step QR renormalization,
     # accumulating log det of the triangular factors; forming the raw
-    # product makes det(U_top) ill-conditioned for long orbits
-    F = np.vstack([np.eye(m), np.zeros((m, m))]).astype(complex)
-    log_lhs = complex(N) * np.log(complex(np.linalg.det(model.C)))
-    p = np.atleast_1d(np.asarray(theta, dtype=float))
-    for _ in range(N):
-        Ahat, _ = transfer_step(model, z, p)
-        Q, R = np.linalg.qr(Ahat @ F)
+    # product makes det(U_top) ill-conditioned for long orbits.  The
+    # conjugated steps are P Ahat P^-1 with P = diag(C, I), so starting
+    # at P [I; 0] = [C; 0] scales det of the top block by det C.
+    F = np.vstack([model.C, np.zeros((m, m))]).astype(complex)
+    log_lhs = complex(N - 1) * np.log(complex(np.linalg.det(model.C)))
+    for A in transfer_matrices(model, z, model.blocks(theta, N)):
+        Q, R = np.linalg.qr(A @ F)
         log_lhs += np.sum(np.log(np.diag(R).astype(complex)))
         F = Q
-        p = model.base.advance(p, 1)
     det_top = complex(np.linalg.det(F[:m]))
     log_lhs = log_lhs + np.log(det_top) if det_top != 0 else complex(-np.inf)
     H = finite_restriction(model, theta, N)
@@ -454,13 +404,10 @@ def frame_after(model: OperatorModel, E: float, theta0, N: int,
     if frame is None:
         frame = LagrangianFrame.standard(model.m)
     F = frame.stack.copy()
-    p = np.atleast_1d(np.asarray(theta0, dtype=float))
-    for _ in range(N):
-        _, A = transfer_step(model, E, p)
+    for A in transfer_matrices(model, E, model.blocks(theta0, N)):
         F = A @ F
         if normalize:
             F, _ = np.linalg.qr(F)
-        p = model.base.advance(p, 1)
     return F
 
 
@@ -475,16 +422,12 @@ def omega_matrix(model: OperatorModel, E: float, theta0, n: int,
     if frame is None:
         frame = LagrangianFrame.standard(model.m)
     m = model.m
-    Cinv = np.linalg.inv(model.C)
     F = frame.stack.copy()
-    p = np.atleast_1d(np.asarray(theta0, dtype=float))
     S = np.zeros((m, m), dtype=complex)
-    for _ in range(n):
-        CX = Cinv @ F[:m]
-        S += CX.conj().T @ CX
-        _, A = transfer_step(model, E, p)
+    for A in transfer_matrices(model, E, model.blocks(theta0, n)):
         F = A @ F
-        p = model.base.advance(p, 1)
+        # the bottom block of a conjugated step is C^-1 X of the frame before it
+        S += F[m:].conj().T @ F[m:]
     den = np.linalg.inv(F[:m] - 1j * F[m:])
     Omega = -2 * den.conj().T @ S @ den
     return (Omega + Omega.conj().T) / 2

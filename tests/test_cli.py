@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from ergospectra.cli import ConfigError, config_hash, load_config, main
+from ergospectra.hyperbolicity import uh_test
+from ergospectra.model import free_model
 
 from conftest import GOLDEN
 
@@ -140,3 +142,21 @@ class TestUhCommand:
         flags = [row.split(",")[1] for row in lines[2:]]
         # grid is -3, -1.5, 0, 1.5, 3: outside, inside x3, outside
         assert flags == ["1", "0", "0", "0", "1"]
+
+    def test_rows_equal_per_energy_uh_test(self, tmp_path):
+        cfg = dict(FREE_CFG)
+        cfg["scan"] = {"E_min": -3.0, "E_max": 3.0, "points": 7, "N": 100}
+        cfg["uh"] = {"n_iter": 200, "gap_threshold": 1.02}
+        cfg["theta0"] = [0.3]
+        out = tmp_path / "out"
+        assert main(["uh", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        lines = (out / "uh.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines[2:]]
+        assert len(rows) == 7
+        model = free_model()
+        for row, E in zip(rows, np.linspace(-3.0, 3.0, 7)):
+            flag, s = uh_test(model, float(E), n_iter=200,
+                              gap_threshold=1.02, theta0=[0.3])
+            assert row == [repr(float(E)), str(int(flag)),
+                           str(int(s.converged)), repr(s.gap)]

@@ -7,9 +7,11 @@ from ergospectra.cocycle import (J_matrix, LagrangianFrame, Q_matrix, cayley,
                                  cayley_element, det_kernel_test,
                                  frame_to_unitary, mobius_act,
                                  pseudo_unitary_defect, symplectic_defect,
-                                 transfer_product, transfer_step)
+                                 transfer_matrices, transfer_product,
+                                 transfer_step)
 from ergospectra.model import BaseDynamics, DOUBLING, ConstantPotential, \
     OperatorModel, free_model
+from ergospectra.rotation import HomotopyPath
 
 from conftest import random_hermitian, random_model
 
@@ -47,6 +49,38 @@ class TestTransferStep:
         P = np.block([[model.C, np.zeros((2, 2))],
                       [np.zeros((2, 2)), np.eye(2)]])
         assert np.abs(A - P @ Ahat @ np.linalg.inv(P)).max() < 1e-10
+
+
+class TestTransferMatrices:
+    """The stacked builder against per-site transfer_step on one orbit."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_scalar_energy_matches_transfer_step(self, rng, m):
+        model = random_model(rng, m=m)
+        points = model.base.orbit([0.31], 7)
+        A = transfer_matrices(model, 0.8, model.blocks([0.31], 7))
+        assert A.shape == (7, 2 * m, 2 * m)
+        for j, p in enumerate(points):
+            assert np.array_equal(A[j], transfer_step(model, 0.8, p)[1])
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_energy_array_matches_transfer_step(self, rng, m):
+        model = random_model(rng, m=m)
+        energies = np.array([-2.5, -0.3, 0.0, 1.7])
+        points = model.base.orbit([0.58], 5)
+        A = transfer_matrices(model, energies, model.blocks([0.58], 5))
+        assert A.shape == (4, 5, 2 * m, 2 * m)
+        for e, E in enumerate(energies):
+            for j, p in enumerate(points):
+                assert np.array_equal(A[e, j],
+                                      transfer_step(model, float(E), p)[1])
+
+    def test_homotopy_path_ends_with_its_stack(self, rng):
+        N = 3
+        path = HomotopyPath(random_model(rng, m=2), 0.1, [0.2], N=N)
+        assert np.all(np.isfinite(path.evaluate(N)))
+        with pytest.raises(InvalidInput):
+            path.evaluate(N + 0.5)
 
 
 class TestTransferProduct:

@@ -2,141 +2,61 @@ import numpy as np
 import pytest
 
 from ergospectra.errors import InvalidInput, SingularMatrix
-from ergospectra.matkernel import (GlPath, det_with_arg, gl_path,
-                                   hermitian_eigs, polar, svd)
+from ergospectra.matkernel import GlPath, hermitian_part, polar
 
 from conftest import random_invertible
 
 
-def char_poly_coeffs(M):
-    """Characteristic polynomial coefficients by the trace recursion.
-
-    Uses only matrix products and traces, independent of any eigensolver.
-    """
-    n = M.shape[0]
-    coeffs = [1.0 + 0j]
-    A = np.eye(n, dtype=complex)
-    for k in range(1, n + 1):
-        A = M @ A
-        c = -np.trace(A) / k
-        coeffs.append(c)
-        A = A + c * np.eye(n)
-    return np.array(coeffs)
+def path_points(C, ts):
+    """V(t) and V(t)^-1 on the GL path of C, read from pair_many."""
+    Vinv, Vst = GlPath(C).pair_many(ts)
+    return np.conj(np.swapaxes(Vst, -1, -2)), Vinv
 
 
-class TestHermitianEigs:
-    def test_diagonal(self):
-        w, V = hermitian_eigs(np.diag([2.0, -1.0]))
-        assert np.allclose(w, [-1.0, 2.0])
-
-    def test_swap(self):
-        w, _ = hermitian_eigs(np.array([[0, 1], [1, 0]], dtype=float))
-        assert np.allclose(w, [-1.0, 1.0])
-
-    def test_companion_oracle(self, rng):
-        A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        M = (A + A.conj().T) / 2
-        w, V = hermitian_eigs(M)
-        roots = np.sort(np.roots(char_poly_coeffs(M)).real)
-        assert np.max(np.abs(w - roots)) < 1e-8
-
-    def test_reconstruction_and_unitarity(self, rng):
-        for _ in range(10):
-            A = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-            M = (A + A.conj().T) / 2
-            w, V = hermitian_eigs(M)
-            scale = max(1.0, np.abs(M).max())
-            assert np.abs(V @ np.diag(w) @ V.conj().T - M).max() < 1e-10 * scale
-            assert np.abs(V.conj().T @ V - np.eye(3)).max() < 1e-10
-
-    def test_phase_convention_deterministic(self, rng):
-        A = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        M = (A + A.conj().T) / 2
-        _, V1 = hermitian_eigs(M)
-        _, V2 = hermitian_eigs(M)
-        assert np.array_equal(V1, V2)
-        for j in range(3):
-            piv = V1[np.argmax(np.abs(V1[:, j]) > 1e-12), j]
-            assert abs(piv.imag) < 1e-12 and piv.real > 0
-
+class TestHermitianPart:
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidInput):
-            hermitian_eigs(np.array([[np.nan, 0], [0, 1]]))
+            hermitian_part(np.array([[np.nan, 0], [0, 1]]))
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(InvalidInput):
-            hermitian_eigs(np.array([[0, 1], [0, 0]], dtype=float))
-
-
-class TestSvd:
-    def test_identity(self):
-        _, s, _ = svd(np.eye(3))
-        assert np.allclose(s, 1.0)
-
-    def test_diag(self):
-        _, s, _ = svd(np.diag([3.0, 0.0]))
-        assert np.allclose(s, [3.0, 0.0])
-
-    def test_squares_match_gram_eigs(self, rng):
-        M = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        U, s, V = svd(M)
-        assert np.abs(U @ (s[:, None] * V.conj().T) - M).max() < 1e-10 * np.abs(M).max()
-        w, _ = hermitian_eigs(M.conj().T @ M)
-        assert np.max(np.abs(np.sort(s ** 2) - w)) < 1e-8
-        assert np.all(np.diff(s) <= 0)
-
-
-class TestDetWithArg:
-    def test_identity(self):
-        mod, arg = det_with_arg(np.eye(3))
-        assert mod == pytest.approx(1.0) and arg == pytest.approx(0.0)
-
-    def test_phase(self):
-        mod, arg = det_with_arg(np.diag([1j, 1.0]))
-        assert mod == pytest.approx(1.0) and arg == pytest.approx(np.pi / 2)
-
-    def test_unitary_modulus(self, rng):
-        A = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        Q, _ = np.linalg.qr(A)
-        mod, arg = det_with_arg(Q)
-        assert abs(mod - 1.0) < 1e-10
-        assert abs(mod * np.exp(1j * arg) - np.linalg.det(Q)) < 1e-10
+            hermitian_part(np.array([[0, 1], [0, 0]], dtype=float))
 
 
 class TestGlPath:
     def test_identity_fixed(self):
-        for t in (0.0, 0.3, 1.0):
-            assert np.allclose(gl_path(np.eye(2), t), np.eye(2))
+        V, Vinv = path_points(np.eye(2), [0.0, 0.3, 1.0])
+        assert np.allclose(V, np.eye(2)) and np.allclose(Vinv, np.eye(2))
 
     def test_polar_midpoint(self):
-        assert np.allclose(gl_path(np.array([[2.0]]), 0.5),
-                           [[np.sqrt(2.0)]])
+        V, Vinv = path_points(np.array([[2.0]]), [0.5])
+        assert np.allclose(V[0], [[np.sqrt(2.0)]])
+        assert np.allclose(Vinv[0], [[1 / np.sqrt(2.0)]])
 
     def test_endpoints(self, rng):
         C = random_invertible(rng, 3)
-        assert np.abs(gl_path(C, 0.0) - np.eye(3)).max() < 1e-12
-        assert np.abs(gl_path(C, 1.0) - C).max() < 1e-10
+        V, _ = path_points(C, [0.0, 1.0])
+        assert np.abs(V[0] - np.eye(3)).max() < 1e-12
+        assert np.abs(V[1] - C).max() < 1e-10
 
     def test_shear_grid_invertible(self):
         C = np.array([[1.0, 1.0], [0.0, 1.0]])
-        path = GlPath(C)
-        for t in np.linspace(0, 1, 11):
-            assert abs(np.linalg.det(path(t))) > 1e-10
+        V, _ = path_points(C, np.linspace(0, 1, 11))
+        assert np.all(np.abs(np.linalg.det(V)) > 1e-10)
 
     def test_invertible_on_fine_grid(self, rng):
         # invertibility-preserving property at condition numbers up to 1e4
         grid = np.linspace(0, 1, 101)
         for _ in range(20):
             C = random_invertible(rng, 2, cond_max=1e4)
-            path = GlPath(C)
-            for t in grid:
-                assert abs(np.linalg.det(path(t))) > 1e-12
+            V, _ = path_points(C, grid)
+            assert np.all(np.abs(np.linalg.det(V)) > 1e-12)
 
     def test_inverse(self, rng):
         C = random_invertible(rng, 2)
-        path = GlPath(C)
-        for t in (0.25, 0.7):
-            assert np.abs(path(t) @ path.inverse(t) - np.eye(2)).max() < 1e-9
+        V, Vinv = path_points(C, [0.25, 0.7])
+        assert np.abs(V @ Vinv - np.eye(2)).max() < 1e-9
+        assert np.abs(Vinv @ V - np.eye(2)).max() < 1e-9
 
     def test_singular_rejected(self):
         with pytest.raises(SingularMatrix):

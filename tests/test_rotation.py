@@ -20,14 +20,14 @@ from conftest import random_model
 class TestHomotopyPath:
     def test_endpoints(self, rng):
         model = random_model(rng, m=2)
-        path = HomotopyPath(model, 0.4, [0.13])
+        path = HomotopyPath(model, 0.4, [0.13], N=1)
         assert np.abs(path.evaluate(0.0) - np.eye(4)).max() < 1e-12
         A1 = transfer_product(model, 0.4, [0.13], 1)
         assert np.abs(path.evaluate(1.0) - A1).max() < 1e-9
 
     def test_two_step_extension(self, rng):
         model = random_model(rng, m=2)
-        path = HomotopyPath(model, -0.6, [0.42])
+        path = HomotopyPath(model, -0.6, [0.42], N=2)
         A2 = transfer_product(model, -0.6, [0.42], 2)
         assert np.abs(path.evaluate(2.0) - A2).max() < 1e-9
         # interior point sits between the unit products, continuous in t
@@ -35,13 +35,13 @@ class TestHomotopyPath:
         assert np.all(np.isfinite(mid))
 
     def test_negative_t_rejected(self, rng):
-        path = HomotopyPath(random_model(rng, m=1), 0.0, [0.0])
+        path = HomotopyPath(random_model(rng, m=1), 0.0, [0.0], N=1)
         with pytest.raises(InvalidInput):
             path.evaluate(-0.5)
 
     def test_continuity_near_unit_time(self, rng):
         model = random_model(rng, m=2)
-        path = HomotopyPath(model, 0.2, [0.3])
+        path = HomotopyPath(model, 0.2, [0.3], N=1)
         # first-order modulus of continuity: the gap at eps shrinks in
         # proportion to a coarse finite-difference slope of the path
         slope = np.abs(path.evaluate(1.0) - path.evaluate(0.99)).max() / 0.01
