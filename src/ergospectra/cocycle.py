@@ -126,11 +126,11 @@ def transfer_product(model: OperatorModel, E: float, theta, n: int) -> np.ndarra
     """n-step cocycle product; identity at n=0, inverse product for n<0."""
     if n < 0 and not model.base.invertible:
         raise UnsupportedDirection("backward product on a non-invertible base")
-    start = theta if n >= 0 else model.base.advance(theta, n)
-    steps = transfer_matrices(model, E, model.blocks(start, abs(n)))
+    steps = transfer_matrices(model, E, model.blocks(theta, n))
     if n < 0:
-        # A_{E,n}(theta) = A(T^n theta)^-1 ... A(T^-1 theta)^-1 for n < 0
-        steps = np.linalg.inv(steps[::-1])
+        # A_{E,n}(theta) = A(T^n theta)^-1 ... A(T^-1 theta)^-1 for n < 0,
+        # the blocks running T^-1 theta, ..., T^n theta from theta back
+        steps = np.linalg.inv(steps)
     P = np.eye(2 * model.m, dtype=complex)
     for A in steps:
         P = A @ P

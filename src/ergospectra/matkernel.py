@@ -21,7 +21,7 @@ def as_complex_matrix(a, *, square: bool = False) -> np.ndarray:
         raise InvalidInput(f"expected a matrix, got shape {M.shape}")
     if square and M.shape[0] != M.shape[1]:
         raise InvalidInput(f"expected a square matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M.view(float))):
+    if not np.all(np.isfinite(M)):
         raise InvalidInput("matrix has non-finite entries")
     return M
 

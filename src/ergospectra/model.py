@@ -68,16 +68,24 @@ class BaseDynamics:
         return np.mod(p * float(2 ** n), 1.0)
 
     def orbit(self, theta, N: int) -> np.ndarray:
-        """Points theta, T theta, ..., T^(N-1) theta as an (N, d) array."""
+        """Points theta, T theta, ..., T^(N-1) theta as an (N, d) array.
+
+        For N < 0 the backward orbit T^-1 theta, ..., T^N theta, stepped
+        back from theta one site at a time, as a (-N, d) array.
+        """
         p = np.atleast_1d(np.asarray(theta, dtype=float))
-        out = np.empty((N, self.d))
+        n_sites = np.arange(N) if N >= 0 else -np.arange(1, 1 - N)
+        out = np.empty((n_sites.size, self.d))
         if self.kind == TORUS:
             # closed form per point: no accumulated rounding along the orbit
-            out[:] = np.mod(p + np.arange(N)[:, None] * self.alpha, 1.0)
+            out[:] = np.mod(p + n_sites[:, None] * self.alpha, 1.0)
             return out
-        for n in range(N):
+        step = 1 if N >= 0 else -1
+        if N < 0:
+            p = self.advance(p, -1)
+        for n in range(n_sites.size):
             out[n] = p
-            p = self.advance(p, 1)
+            p = self.advance(p, step)
         return out
 
 
@@ -177,10 +185,13 @@ class OperatorModel:
         return self.potential(theta)
 
     def blocks(self, theta, N: int) -> np.ndarray:
-        """f along the orbit: blocks[n] = f(T^n theta), n = 0..N-1."""
+        """f along the orbit: blocks[n] = f(T^n theta), n = 0..N-1.
+
+        For N < 0, blocks[k] = f(T^-(k+1) theta) on the backward orbit.
+        """
         pts = self.base.orbit(theta, N)
-        out = np.empty((N, self.m, self.m), dtype=complex)
-        for n in range(N):
+        out = np.empty((len(pts), self.m, self.m), dtype=complex)
+        for n in range(len(pts)):
             out[n] = self.potential(pts[n])
         return out
 

@@ -108,7 +108,7 @@ class HomotopyPath:
     A_{E,n}(theta).
     """
 
-    def __init__(self, model: OperatorModel, E: float, theta0, N: int = 0,
+    def __init__(self, model: OperatorModel, E: float, theta0, N: int,
                  vcache: _VCache | None = None):
         self.model = model
         self.E = float(E)

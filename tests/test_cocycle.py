@@ -9,11 +9,10 @@ from ergospectra.cocycle import (J_matrix, LagrangianFrame, Q_matrix, cayley,
                                  pseudo_unitary_defect, symplectic_defect,
                                  transfer_matrices, transfer_product,
                                  transfer_step)
-from ergospectra.model import BaseDynamics, DOUBLING, ConstantPotential, \
-    OperatorModel, free_model
-from ergospectra.rotation import HomotopyPath
+from ergospectra.model import (CAT, DOUBLING, BaseDynamics, ConstantPotential,
+                               OperatorModel, TrigBlockPotential, free_model)
 
-from conftest import random_hermitian, random_model
+from conftest import random_hermitian, random_invertible, random_model
 
 
 def random_frame(rng, m):
@@ -54,33 +53,19 @@ class TestTransferStep:
 class TestTransferMatrices:
     """The stacked builder against per-site transfer_step on one orbit."""
 
+    @pytest.mark.parametrize("E", [0.8, np.array([-2.5, -0.3, 0.0, 1.7])],
+                             ids=["scalar", "array"])
     @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_scalar_energy_matches_transfer_step(self, rng, m):
+    def test_matches_transfer_step(self, rng, m, E):
         model = random_model(rng, m=m)
         points = model.base.orbit([0.31], 7)
-        A = transfer_matrices(model, 0.8, model.blocks([0.31], 7))
-        assert A.shape == (7, 2 * m, 2 * m)
-        for j, p in enumerate(points):
-            assert np.array_equal(A[j], transfer_step(model, 0.8, p)[1])
-
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_energy_array_matches_transfer_step(self, rng, m):
-        model = random_model(rng, m=m)
-        energies = np.array([-2.5, -0.3, 0.0, 1.7])
-        points = model.base.orbit([0.58], 5)
-        A = transfer_matrices(model, energies, model.blocks([0.58], 5))
-        assert A.shape == (4, 5, 2 * m, 2 * m)
-        for e, E in enumerate(energies):
+        A = transfer_matrices(model, E, model.blocks([0.31], 7))
+        assert A.shape == np.shape(E) + (7, 2 * m, 2 * m)
+        A = A.reshape((-1, 7, 2 * m, 2 * m))
+        for e, Ee in enumerate(np.atleast_1d(E)):
             for j, p in enumerate(points):
                 assert np.array_equal(A[e, j],
-                                      transfer_step(model, float(E), p)[1])
-
-    def test_homotopy_path_ends_with_its_stack(self, rng):
-        N = 3
-        path = HomotopyPath(random_model(rng, m=2), 0.1, [0.2], N=N)
-        assert np.all(np.isfinite(path.evaluate(N)))
-        with pytest.raises(InvalidInput):
-            path.evaluate(N + 0.5)
+                                      transfer_step(model, float(Ee), p)[1])
 
 
 class TestTransferProduct:
@@ -110,6 +95,23 @@ class TestTransferProduct:
         rhs = (transfer_product(model, -0.2, model.base.advance(theta, n), k)
                @ transfer_product(model, -0.2, theta, n))
         assert np.abs(lhs - rhs).max() < 1e-8 * max(1.0, np.abs(lhs).max())
+
+    def test_cat_map_backward_steps_back_from_theta(self, rng):
+        # T^-n theta in one jump collapses to the fixed point 0 on the cat
+        # map for n >= 39; the product must use T^-1 theta, ..., T^-n theta
+        C = random_invertible(rng, 2, 10.0)
+        F = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))) / 2
+        pot = TrigBlockPotential(2, {(0, 0): random_hermitian(rng, 2),
+                                     (1, 0): F, (0, 1): F.T})
+        model = OperatorModel(2, C, pot, BaseDynamics(CAT))
+        theta, n, E = np.array([0.3, 0.7]), 40, 0.4
+        ref = np.eye(4, dtype=complex)
+        p = theta
+        for _ in range(n):
+            p = model.base.advance(p, -1)
+            ref = np.linalg.inv(transfer_step(model, E, p)[1]) @ ref
+        P = transfer_product(model, E, theta, -n)
+        assert np.abs(P - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_backward_needs_invertible_base(self):
         model = OperatorModel(1, np.eye(1), ConstantPotential([[0.0]]),

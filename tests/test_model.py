@@ -37,6 +37,20 @@ class TestBaseDynamics:
         for n in range(5):
             assert np.abs(orbit[n] - base.advance([0.1], n)).max() < 1e-12
 
+    def test_backward_orbit_steps_back_from_theta(self):
+        torus = torus_rotation([GOLDEN])
+        back = torus.orbit([0.1], -5)
+        for k in range(5):
+            assert np.abs(back[k] - torus.advance([0.1], -(k + 1))).max() < 1e-12
+        cat = BaseDynamics(CAT)
+        p = np.array([0.3, 0.7])
+        back = cat.orbit(p, -40)
+        for k in range(40):
+            p = cat.advance(p, -1)
+            assert np.array_equal(back[k], p)
+        with pytest.raises(UnsupportedDirection):
+            BaseDynamics(DOUBLING).orbit([0.3], -1)
+
     def test_unknown_kind(self):
         with pytest.raises(InvalidInput):
             BaseDynamics("horocycle")

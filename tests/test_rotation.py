@@ -39,6 +39,12 @@ class TestHomotopyPath:
         with pytest.raises(InvalidInput):
             path.evaluate(-0.5)
 
+    def test_t_past_N_rejected(self, rng):
+        path = HomotopyPath(random_model(rng, m=2), 0.1, [0.2], N=3)
+        assert np.all(np.isfinite(path.evaluate(3)))
+        with pytest.raises(InvalidInput):
+            path.evaluate(3.5)
+
     def test_continuity_near_unit_time(self, rng):
         model = random_model(rng, m=2)
         path = HomotopyPath(model, 0.2, [0.3], N=1)
