@@ -19,11 +19,12 @@ import numpy as np
 from . import __version__
 from .errors import ErgospectraError
 from .model import (BaseDynamics, ConstantPotential, OperatorModel,
-                    TrigBlockPotential, ids as ids_scan)
+                    TrigBlockPotential, count_below, ids as ids_scan)
 from .rotation import rot_number
 from .hyperbolicity import (DEFAULT_GAP_THRESHOLD, DEFAULT_N_ITER,
                             uh_test_many)
-from .gaps import LabelGroup, detect_gaps, gap_records_csv, label_gap, verify_ids_rot
+from .gaps import (LabelGroup, gap_records_csv, gaps_in_spectrum, label_gap,
+                   restriction_spectrum, verify_ids_rot)
 from .perturb import RandomDiagonalLaw, SpectralSet, check_bigstar, star
 from .duality import TrigPolynomial, amo_dual_polynomial, build_dual, \
     check_factorization, check_ids_duality
@@ -273,10 +274,12 @@ def cmd_gaps(cfg: dict, out: pathlib.Path, workers: int) -> int:
     theta0 = _theta0(cfg, model)
     N = cfg["scan"]["N"]
     opts = cfg.get("gaps", {})
-    records = detect_gaps(model, (grid[0], grid[-1]),
-                          opts.get("resolution", max(50, grid.size)), N,
-                          theta0=theta0,
-                          n_iter=opts.get("n_iter", DEFAULT_N_ITER))
+    # one restriction H^N feeds the gap search and the plotted IDS
+    ev = restriction_spectrum(model, theta0, N)
+    resolution = opts.get("resolution", max(50, grid.size))
+    records = gaps_in_spectrum(model, ev,
+                               np.linspace(grid[0], grid[-1], resolution),
+                               theta0, opts.get("n_iter", DEFAULT_N_ITER))
     alpha = model.base.alpha
     if model.base.kind == "torus_rotation":
         label_alpha = model.meta.get("alpha")
@@ -285,17 +288,18 @@ def cmd_gaps(cfg: dict, out: pathlib.Path, workers: int) -> int:
                            k_max=opts.get("k_max", 20))
     else:
         group = LabelGroup("integers")
-    labelled = []
-    for rec in records:
-        rec = label_gap(rec, group, model.m)
-        _, rot_val, dist = verify_ids_rot(model, rec.midpoint, N, group, theta0)
-        rec.rot_value = rot_val
-        rec.rot_distance = dist
-        labelled.append(rec)
+    labelled = [label_gap(rec, group, model.m) for rec in records]
+    if labelled:
+        _, rots, dists = verify_ids_rot(
+            model, np.array([rec.midpoint for rec in labelled]), N, group,
+            theta0)
+        for rec, rot_val, dist in zip(labelled, rots, dists):
+            rec.rot_value = float(rot_val)
+            rec.rot_distance = float(dist)
     d = model.base.d if model.base.kind == "torus_rotation" else 1
     table = gap_records_csv(labelled, model.m, alpha_dim=d)
     _write(out / "gaps.csv", _header(cfg) + table)
-    vals = ids_scan(model, theta0, N, grid)
+    vals = count_below(ev, grid) / ev.size
     bands = [r.interval for r in labelled if r.interior]
     _write(out / "ids.svg", _svg_plot(grid, vals, bands, cfg))
     return 0

@@ -91,6 +91,14 @@ class _DualPotential:
                     f[i, j] = self.v.coeff(i - j)
         return f
 
+    def fourier_blocks(self) -> dict:
+        d = self.m
+        const = np.array([[self.v.coeff(0) if i == j else self.v.coeff(i - j)
+                           for j in range(d)] for i in range(d)], dtype=complex)
+        # 2 cos(2 pi (x + s)) = e(s) e(x) + e(-s) e(-x), row i at s = (d-1-i) alpha
+        phase = np.exp(2j * np.pi * (d - 1 - np.arange(d)) * self.v.alpha)
+        return {(0,): const, (1,): np.diag(phase), (-1,): np.diag(phase.conj())}
+
 
 def build_dual(v: TrigPolynomial) -> OperatorModel:
     """Block model dual to the scalar operator with potential v.

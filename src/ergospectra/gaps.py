@@ -17,7 +17,7 @@ import numpy as np
 from .errors import InvalidInput
 from .model import (OperatorModel, count_below, ids as ids_scan,
                     restriction_eigenvalues)
-from .rotation import rot_number
+from .rotation import accumulated_phase
 from .hyperbolicity import uh_test_many
 
 FLAT_TOL = 2e-3
@@ -161,9 +161,22 @@ def detect_gaps(model: OperatorModel, E_range, resolution: int, N: int,
     if not E_hi > E_lo:
         raise InvalidInput("empty energy range")
     grid = np.linspace(E_lo, E_hi, resolution)
-    # the restriction ids() counts on at theta0
-    ev = restriction_eigenvalues(model, np.mod(theta0, 1.0), N)
-    rows = model.m * N
+    return gaps_in_spectrum(model, restriction_spectrum(model, theta0, N),
+                            grid, theta0, n_iter, flat_tol, refine_steps)
+
+
+def restriction_spectrum(model: OperatorModel, theta0, N: int) -> np.ndarray:
+    """Eigenvalues of the restriction H^N that ids() counts on at theta0."""
+    return restriction_eigenvalues(model, np.mod(theta0, 1.0), N)
+
+
+def gaps_in_spectrum(model: OperatorModel, ev: np.ndarray, grid: np.ndarray,
+                     theta0, n_iter: int = 2000, flat_tol: float = FLAT_TOL,
+                     refine_steps: int = 10):
+    """detect_gaps on an increasing energy grid of at least 50 points,
+    reading the IDS from the restriction_spectrum ev."""
+    resolution = grid.size
+    rows = ev.size
     vals = count_below(ev, grid) / rows
     runs = _flat_runs(vals, flat_tol)
     mids = [0.5 * (grid[i] + grid[j]) for i, j in runs]
@@ -200,17 +213,24 @@ def label_gap(record: GapRecord, group: LabelGroup, m: int,
     return replace(record, label=None, label_distance=float(dist))
 
 
-def verify_ids_rot(model: OperatorModel, E: float, N: int, group: LabelGroup,
+def verify_ids_rot(model: OperatorModel, E, N: int, group: LabelGroup,
                    theta0=None):
     """Check m(1 - N(E)) = rot(E) modulo the label group at resolution N.
 
-    Returns (lhs, rhs, distance_mod_group), all in turns.
+    Returns (lhs, rhs, distance_mod_group), all in turns: floats for one
+    energy, arrays for an array of energies.  One restriction H^N gives
+    the IDS at every energy and one tracker call their rotation numbers.
     """
     if theta0 is None:
         theta0 = np.zeros(model.base.d)
-    lhs = model.m * (1.0 - float(ids_scan(model, theta0, N, [E])[0]))
-    rhs, _ = rot_number(model, E, theta0, N=N)
-    return lhs, rhs, group.distance(lhs - rhs)
+    energies = np.asarray(E, dtype=float)
+    lhs = model.m * (1.0 - ids_scan(model, theta0, N, energies.ravel()))
+    rhs = accumulated_phase(model, energies.ravel(), theta0, N) / N
+    dist = np.array([group.distance(x) for x in lhs - rhs])
+    if energies.ndim == 0:
+        return float(lhs[0]), float(rhs[0]), float(dist[0])
+    return (lhs.reshape(energies.shape), rhs.reshape(energies.shape),
+            dist.reshape(energies.shape))
 
 
 def gap_records_csv(records, m: int, alpha_dim: int = 1) -> str:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import subspace_angles
 
-from .errors import RefineGrid, UnsupportedBase, UnsupportedDirection
+from .errors import (InvalidInput, RefineGrid, UnsupportedBase,
+                     UnsupportedDirection)
 from .model import OperatorModel, TORUS
 from .cocycle import LagrangianFrame, frame_to_unitary, transfer_matrices
 
@@ -24,6 +25,7 @@ DEFAULT_SAMPLES = 3
 DEFAULT_GAP_THRESHOLD = float(np.exp(0.01))
 ANGLE_TOL = 1e-6
 SWEEP_CHUNK = 64  # orbit steps whose transfer matrices are formed together
+FIT_ROUNDOFF = 1e-10  # largest relative roundoff a norm contraction_fit fits may carry
 
 
 @dataclass
@@ -157,7 +159,7 @@ def uh_test_many(model: OperatorModel, energies, n_iter: int = DEFAULT_N_ITER,
             for F in Fu + Fs:
                 try:
                     LagrangianFrame(F, tol_symmetry=1e-6)
-                except Exception:
+                except InvalidInput:
                     converged = False
                     break
         transversal = all(
@@ -228,16 +230,24 @@ def _loop_winding(model, E, theta0, j, n_pts, n_iter):
 
 def contraction_fit(model: OperatorModel, E: float,
                     splitting: SplittingEstimate, n_max: int = 50):
-    """Fit ||A_n v_s|| ~ c L^{-n} on the stable fiber; returns (c, L)."""
+    """Fit ||A_n v_s|| ~ c L^{-n} on the stable fiber; returns (c, L).
+
+    Roundoff puts about eps ||A_n|| into the unstable direction by step
+    n, so the fit window ends at the first step where that floor exceeds
+    FIT_ROUNDOFF times the stable norm (at least 3 steps are kept): the
+    fit then does not depend on last-digit rounding.
+    """
     theta = splitting.theta_samples[0]
     w = splitting.stable[0][:, 0]
-    norms = []
+    P = np.eye(w.size, dtype=complex)
+    norms, floors = [], []
     for A in transfer_matrices(model, E, model.blocks(theta, n_max)):
         w = A @ w
+        P = A @ P
         norms.append(float(np.linalg.norm(w)))
-    # roundoff re-injects the unstable direction once the stable part
-    # bottoms out; fit only the initial decaying segment
-    cut = max(int(np.argmin(norms)) + 1, 3)
+        floors.append(np.finfo(float).eps * float(np.linalg.norm(P, 2)))
+    below = np.flatnonzero(np.array(floors) > FIT_ROUNDOFF * np.array(norms))
+    cut = max(int(below[0]) if below.size else n_max, 3)
     n = np.arange(1, cut + 1)
     slope, logc = np.polyfit(n, np.log(norms[:cut]), 1)
     return float(np.exp(logc)), float(np.exp(-slope))

@@ -47,6 +47,20 @@ def polar(C) -> tuple[np.ndarray, np.ndarray]:
     return Q, P
 
 
+def small_matmul(A, B) -> np.ndarray:
+    """A @ B for stacks of small matrices, broadcast over leading axes.
+
+    One broadcast product per inner index: numpy.matmul calls BLAS once
+    per matrix, which dominates at the 1-6 row sizes used here.  Every
+    entry is formed element by element, so it rounds the same whatever
+    else shares the stack.
+    """
+    out = A[..., :, 0, None] * B[..., None, 0, :]
+    for j in range(1, A.shape[-1]):
+        out = out + A[..., :, j, None] * B[..., None, j, :]
+    return out
+
+
 class GlPath:
     """Invertibility-preserving path V(t) from the identity to C.
 
@@ -65,16 +79,21 @@ class GlPath:
         pw, pv = np.linalg.eigh(P)
         self._plog = np.log(pw)
         self._pv = pv
+        # middle factors of V^-1 = P^-t Q^-t and V* = (Q^t P^t)*
+        self._mid_inv = pv.conj().T @ qv
+        self._mid_star = (self._qvi @ pv).conj().T
+        self._right = np.stack((self._qvi, qv.conj().T))[:, None]
 
     def pair_many(self, ts) -> tuple[np.ndarray, np.ndarray]:
         """(V(t)^-1, V(t)*) stacked over an array of path times."""
         ts = np.asarray(ts, dtype=float)
         eq = np.exp(np.multiply.outer(ts, self._qlog))
         ep = np.exp(np.multiply.outer(ts, self._plog))
-        Qt = np.einsum("ij,tj,jk->tik", self._qv, eq, self._qvi)
-        Pt = np.einsum("ij,tj,jk->tik", self._pv, ep, self._pv.conj().T)
-        Qti = np.einsum("ij,tj,jk->tik", self._qv, 1.0 / eq, self._qvi)
-        Pti = np.einsum("ij,tj,jk->tik", self._pv, 1.0 / ep, self._pv.conj().T)
-        Vinv = Pti @ Qti
-        Vst = np.conj(np.swapaxes(Qt @ Pt, -1, -2))
+        # V^-1 = P^-t Q^-t = pv diag(1/ep) (pv* qv) diag(1/eq) qv^-1 and
+        # V* = (Q^t P^t)* = pv diag(ep) (qv^-1 pv)* diag(conj eq) qv*,
+        # formed together
+        middle = np.stack((
+            (1.0 / ep)[:, :, None] * self._mid_inv * (1.0 / eq)[:, None, :],
+            ep[:, :, None] * self._mid_star * eq.conj()[:, None, :]))
+        Vinv, Vst = small_matmul(small_matmul(self._pv, middle), self._right)
         return Vinv, Vst

@@ -103,6 +103,9 @@ class ConstantPotential:
     def __call__(self, theta) -> np.ndarray:
         return self.block
 
+    def fourier_blocks(self) -> dict:
+        return {(0,): self.block}
+
 
 class TrigBlockPotential:
     """Finite trigonometric polynomial with matrix Fourier blocks.
@@ -137,6 +140,9 @@ class TrigBlockPotential:
             f += F * np.exp(2j * np.pi * float(np.dot(k, p)))
         return (f + f.conj().T) / 2
 
+    def fourier_blocks(self) -> dict:
+        return dict(self.coeffs)
+
 
 class ScalarTrigPotential:
     """Real scalar trigonometric polynomial as a 1x1 potential."""
@@ -153,6 +159,13 @@ class ScalarTrigPotential:
     def __call__(self, theta) -> np.ndarray:
         p = np.atleast_1d(np.asarray(theta, dtype=float))
         return np.array([[self.value(float(p[0]))]], dtype=complex)
+
+    def fourier_blocks(self) -> dict:
+        # the real part of sum c_k e(kx) has coefficients (c_k + conj c_-k)/2
+        modes = set(self.coeffs) | {-k for k in self.coeffs}
+        return {k: np.array([[(self.coeffs.get(k, 0.0)
+                               + np.conj(self.coeffs.get(-k, 0.0))) / 2]])
+                for k in modes}
 
 
 class OperatorModel:
@@ -171,7 +184,6 @@ class OperatorModel:
         self.base = base
         self.name = name
         self.meta = dict(meta or {})
-        self._bound = None
         # Hermitian-ness spot check on a fixed sample
         rng = np.random.default_rng(0)
         for theta in rng.random((8, base.d)):
@@ -196,14 +208,10 @@ class OperatorModel:
         return out
 
     def potential_bound(self) -> float:
-        """Sampled sup of the potential norm over 10^4 base points."""
-        if self._bound is None:
-            rng = np.random.default_rng(1)
-            b = 0.0
-            for theta in rng.random((10_000, self.base.d)):
-                b = max(b, float(np.linalg.norm(self.potential(theta), 2)))
-            self._bound = b
-        return self._bound
+        """Upper bound on sup ||f(theta)||_2: the sum of the spectral norms
+        of the potential's Fourier blocks."""
+        return float(sum(np.linalg.norm(F, 2)
+                         for F in self.potential.fourier_blocks().values()))
 
 
 def free_model(m: int = 1, C=None) -> OperatorModel:

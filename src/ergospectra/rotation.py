@@ -6,27 +6,43 @@ polar-interpolated GL(m) path for C.  Tracking the determinant phase of
 the unitary image W of a Lagrangian frame along this path gives a
 continuous argument function m*x(t); its time average is the fibered
 rotation number (in turns, i.e. arg/2pi).
+
+One tracker, `track_frames`, serves every caller, and it takes an
+array of energies.  The step matrices are affine in E, so those of all
+energies and sample times are formed in one stacked call, with V(t)
+evaluated once per distinct time.  Each energy keeps its own sample
+times, step size and anchor, so its result does not depend on which
+other energies share the call.  The step size is set by a controller:
+after each block of candidate times it is scaled by STEP_TARGET *
+CERT_TURNS over the block's largest phase bound, clamped to STEP_CLAMP,
+and it carries over into the next unit step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import itertools
 
 import numpy as np
 
 from .errors import (DegenerateFrame, InvalidInput, RefinementExhausted,
                      UnsupportedBase)
-from .matkernel import GlPath
+from .matkernel import GlPath, small_matmul
 from .model import OperatorModel, TORUS
 from .cocycle import LagrangianFrame, frame_to_unitary, transfer_matrices
 
-MAX_SUBSTEPS = 2 ** 14
 START_SUBSTEPS = 16
 QUARTER_TURN = 0.25
 CERT_TURNS = 0.2
 CURVATURE_SAFETY = 3.0
 MIN_INTERVAL = 2.0 ** -48
+MAX_STEP_SAMPLES = 2 ** 20
+BLOCK = 64
+RENORM_GAMMA = 0.5
+STEP_TARGET = 0.5          # aim a block's largest phase bound at this share of CERT_TURNS
+STEP_CLAMP = (0.125, 2.0)  # range of the factor h changes by after one block
+COARSE = np.linspace(0.0, 1.0, 65)  # curvature grid of every unit step
+PHASE_CHUNK = 1024  # samples whose det-W phases are taken together
 
 
 def _wrap(x):
@@ -83,55 +99,62 @@ class PhaseLedger:
         return abs(_wrap(self.accumulated - self.last_phase)) < tol
 
 
-class _VCache:
-    """Dyadic-grid cache of (V(t)^-1, V(t)*) along the GL path of C."""
-
-    def __init__(self, C):
-        self.path = GlPath(C)
-        self._table = {}
-
-    def pair_many(self, ts: np.ndarray):
-        key = ts.tobytes()
-        hit = self._table.get(key)
-        if hit is None:
-            hit = self.path.pair_many(ts)
-            self._table[key] = hit
-        return hit
-
-
 class HomotopyPath:
     """Symplectic path P^t from the identity at t=0 through the cocycle.
 
     On [0, 1] the path is G1^{-1} G2(t) G1 with G1 a fixed shear by
     -CC* and G2(t) a shear/lower-triangular/GL-path product; beyond
     t = 1 it is extended by the cocycle: P^t(theta) = P^{t-n}(T^n theta)
-    A_{E,n}(theta).
+    A_{E,n}(theta).  E may be an array of energies: the paths of all of
+    them share the orbit blocks and the GL path V(t) of C.
     """
 
-    def __init__(self, model: OperatorModel, E: float, theta0, N: int,
-                 vcache: _VCache | None = None):
+    def __init__(self, model: OperatorModel, E, theta0, N: int):
         self.model = model
-        self.E = float(E)
+        self.E = np.asarray(E, dtype=float)
         self.m = model.m
         self.N = N
         self.CCstar = model.C @ model.C.conj().T
-        self.vcache = vcache if vcache is not None else _VCache(model.C)
+        self.gl = GlPath(model.C)
+        self._coarse_v = None
         self._blocks = model.blocks(theta0, N)
+        self._D0 = -self._blocks - self.CCstar - np.eye(self.m)  # D at E = 0
 
-    def step_matrices(self, n: int, ts) -> np.ndarray:
-        """M(t) = G1^{-1} G2(t) on unit step n for an array of t values,
-        shape (T, 2m, 2m); meant to act on G1-premultiplied frames."""
+    def _v_pairs(self, ts: np.ndarray):
+        """(V(t)^-1, V(t)*) at sorted distinct times; the curvature grid,
+        asked for on every unit step, is evaluated once."""
+        if ts.size != COARSE.size or not np.array_equal(ts, COARSE):
+            return self.gl.pair_many(ts)
+        if self._coarse_v is None:
+            self._coarse_v = self.gl.pair_many(ts)
+        return self._coarse_v
+
+    def step_matrices(self, n: int, ts, E) -> np.ndarray:
+        """M(t) = G1^{-1} G2(t) on unit step n at path times ts and
+        energies E (broadcast against ts), shape ts.shape + (2m, 2m);
+        meant to act on G1-premultiplied frames.
+
+        D = E I - f - CC* - I enters M affinely, M = M0(t) + E M1(t), so
+        V(t), M0 and the non-zero block row of M1 are formed once per
+        distinct time.
+        """
         m = self.m
         ts = np.asarray(ts, dtype=float)
-        I = np.eye(m)
-        D = self.E * I - self._blocks[n] - self.CCstar - I
-        Vinv, Vst = self.vcache.pair_many(ts)
-        t = ts[:, None, None]
-        M = np.empty((ts.size, 2 * m, 2 * m), dtype=complex)
-        M[:, :m, :m] = (I + t * t * D + t * self.CCstar) @ Vinv
-        M[:, :m, m:] = (t * D + self.CCstar) @ Vst
-        M[:, m:, :m] = t * Vinv
-        M[:, m:, m:] = Vst
+        u, inv = np.unique(ts, return_inverse=True)
+        Vinv, Vst = self._v_pairs(u)
+        t = u[:, None, None]
+        tD = t * self._D0[n] + self.CCstar
+        # bottom block row [t V^-1, V*]; the top one is tD @ that plus
+        # [V^-1, 0], and E adds t times the bottom row to it
+        bottom = np.concatenate((t * Vinv, Vst), axis=-1)
+        top = small_matmul(tD, bottom)
+        top[..., :m] += Vinv
+        inv = inv.reshape(ts.shape)
+        E = np.asarray(E, dtype=float)[..., None, None]
+        M = np.empty(np.broadcast_shapes(E.shape[:-2], ts.shape)
+                     + (2 * m, 2 * m), dtype=complex)
+        M[..., :m, :] = top[inv] + E * (t * bottom)[inv]
+        M[..., m:, :] = bottom[inv]
         return M
 
     def G1(self) -> np.ndarray:
@@ -141,7 +164,8 @@ class HomotopyPath:
         return G
 
     def evaluate(self, t: float) -> np.ndarray:
-        """Full P^t(theta) including the cocycle extension, 0 <= t <= N."""
+        """Full P^t(theta) including the cocycle extension, 0 <= t <= N,
+        for a path built with one energy."""
         if not 0 <= t <= self.N:
             raise InvalidInput(f"path parameter must lie in [0, {self.N}]")
         n = int(np.floor(t))
@@ -151,7 +175,7 @@ class HomotopyPath:
             A = step @ A
         if frac == 0.0:
             return A
-        return self.step_matrices(n, [frac])[0] @ self.G1() @ A
+        return self.step_matrices(n, [frac], self.E)[0] @ self.G1() @ A
 
 
 def _normalize(frames: np.ndarray) -> np.ndarray:
@@ -159,30 +183,32 @@ def _normalize(frames: np.ndarray) -> np.ndarray:
     return Q
 
 
-def _step_mats(path: HomotopyPath, n: int, ts: np.ndarray, conjugator):
-    M = path.step_matrices(n, ts)
+def _step_mats(path: HomotopyPath, n: int, ts: np.ndarray, E, conjugator):
+    """Step matrices at path times ts and energies E, broadcast together."""
+    M = path.step_matrices(n, ts, E)
     if conjugator is not None:
         # one stacked inverse per block: inv(B) @ M rounds exactly as the
         # per-time products do, where solve(B, M) moves the last digits
-        B = np.array([conjugator(n + float(t)) for t in ts])
-        M = np.linalg.inv(B) @ M
+        B = np.array([conjugator(n + float(t)) for t in np.ravel(ts)])
+        M = np.linalg.inv(B.reshape(np.shape(ts) + M.shape[-2:])) @ M
     return M
 
 
-MAX_STEP_SAMPLES = 2 ** 20
-BLOCK = 64
-RENORM_GAMMA = 0.5
+def _certified_prefix(dt, chord, margin, smin0, smin1, coef, starts):
+    """Certified leading intervals of each block, and its largest bound.
 
+    The candidates of several blocks are stacked along the first axis,
+    block b starting at row starts[b].  Row i describes the interval of
+    length dt[i] from the previous sample of its block (or the block's
+    start) to sample i: chord (S, B) and margin (S,) bound sup ||F'|| on
+    it, smin0 and smin1 (S, B) are sigma_min at its ends.  A block's
+    prefix ends at its first row where the pinch sc is not positive
+    (phase bound inf) or the phase bound reaches CERT_TURNS.  The log is
+    masked where sc <= 0, so a failing row leaks no warning.
 
-def _certified_prefix(dt, chord, margin, smin0, smin1, coef) -> int:
-    """Number of leading intervals of a block that pass the certificate.
-
-    Row i describes the interval of length dt[i] from sample i-1 (or
-    the block's start) to sample i: chord (T, B) and margin (T,) bound
-    sup ||F'|| on it, smin0 and smin1 (T, B) are sigma_min at its ends.
-    The prefix ends at the first row where the pinch sc is not positive
-    or the phase bound reaches CERT_TURNS.  The log is masked where
-    sc <= 0, so a failing row leaks no warning.
+    Returns the accepted rows per block and the largest phase bound over
+    the rows the certificate examined: the accepted ones and the first
+    failing one.
     """
     L = chord + margin[:, None]
     sc = 0.5 * (smin0 + smin1 - L * dt[:, None])
@@ -191,18 +217,40 @@ def _certified_prefix(dt, chord, margin, smin0, smin1, coef) -> int:
     q0 = np.divide(smin0, sc, out=one.copy(), where=ok)
     q1 = np.divide(smin1, sc, out=one, where=ok)
     bound = coef * (np.log(q0) + np.log(q1))
-    fail = ~ok.all(axis=1) | (bound.max(axis=1) >= CERT_TURNS)
-    return int(np.argmax(fail)) if fail.any() else dt.size
+    row = np.where(ok.all(axis=1), bound.max(axis=1), np.inf)
+    ends = np.append(starts[1:], row.size)
+    first_fail = np.minimum.reduceat(
+        np.where(row >= CERT_TURNS, np.arange(row.size), row.size), starts)
+    failed = first_fail < ends
+    # every accepted row's bound lies below the failing row's
+    worst = np.where(failed, row[np.minimum(first_fail, row.size - 1)],
+                     np.maximum.reduceat(row, starts))
+    return np.minimum(first_fail, ends) - starts, worst
+
+
+def _step_factor(worst: np.ndarray) -> np.ndarray:
+    """Factor h changes by after a block whose largest bound is worst."""
+    # a failed pinch (inf) shrinks h the most; a block that did not move
+    # at all (0) grows it the most
+    finite = np.isfinite(worst)
+    scale = np.where(finite, STEP_CLAMP[1], STEP_CLAMP[0])
+    np.divide(STEP_TARGET * CERT_TURNS, worst, out=scale,
+              where=finite & (worst > 0))
+    return np.clip(scale, *STEP_CLAMP)
 
 
 def _certified_samples(path: HomotopyPath, n: int, base: np.ndarray,
-                       substeps: int, conjugator):
-    """Certified sample times of the frame path on one unit step.
+                       h: np.ndarray, conjugator):
+    """Certified sample times of the frame paths on one unit step.
 
-    Yields (t, F(t)) in increasing t, ending exactly at t = 1, with the
-    guarantee that between consecutive samples neither the det-W phase
-    nor any eigenphase of W moves by CERT_TURNS or more, so continuous
-    branches can be read off by nearest-lift wrapping with no aliasing.
+    base (K, B, 2m, m) holds the frames at t = 0 of each of the K
+    energies of the path, and h (K,) their step sizes; h is updated in
+    place and is left at the step each energy starts its next unit step
+    with.  Yields (k, t, F) for energy k in increasing t, ending exactly
+    at t = 1, with the guarantee that between consecutive samples of an
+    energy neither the det-W phase nor any eigenphase of W moves by
+    CERT_TURNS or more, so continuous branches can be read off by
+    nearest-lift wrapping with no aliasing.
 
     The certificate is a priori rather than observational.  W is
     invariant under the right GL(m) action on frames, so the tracked
@@ -217,114 +265,176 @@ def _certified_samples(path: HomotopyPath, n: int, base: np.ndarray,
     renormalized (a right action, so phase-neutral) whenever gamma
     degrades, keeping the bound proportional to g alone.
 
-    Sample i of a block is only compared with sample i-1, so the whole
-    block of BLOCK candidate times is certified in one pass and the
-    accepted samples are its prefix up to the first failing interval.
+    Each pass evaluates one block of up to BLOCK candidate times t0 + h,
+    t0 + 2h, ... per energy still short of t = 1, all energies in one
+    stacked call.  Sample i of a block is only compared with sample
+    i-1, so every block is certified at once and its accepted samples
+    are the prefix up to the first failing interval.  The step
+    controller then scales h by STEP_TARGET * CERT_TURNS over the
+    largest phase bound the block's certificate examined, within
+    STEP_CLAMP, whether the block accepted all, some or none of its
+    candidates: the bound grows about linearly with the interval, so
+    the next block aims at half the allowed phase motion.
     """
+    K = base.shape[0]
     m = path.m
     coef = max(2.0 * m / np.pi, 1.0)
-    ncoarse = 64
-    coarse = np.linspace(0.0, 1.0, ncoarse + 1)
-    Mc = _step_mats(path, n, coarse, conjugator)
-    d2 = np.diff(Mc, 2, axis=0)
+    ncoarse = COARSE.size - 1
+    E = path.E
+    Mc = _step_mats(path, n, COARSE, E[:, None], conjugator)
+    d2 = np.diff(Mc, 2, axis=1)
     cell_curv = CURVATURE_SAFETY * ncoarse ** 2 * np.sqrt(
-        np.sum(np.abs(d2) ** 2, axis=(1, 2)))  # per interior node
-    nodes = np.arange(cell_curv.size)
+        np.sum(np.abs(d2) ** 2, axis=(2, 3)))  # (K, interior nodes)
 
-    def curvature(a, b):
-        """Max of cell_curv over the cells each interval [a, b] touches."""
+    def curvature(a, b, k):
+        """Max of energy k's cell_curv over the cells each interval
+        [a, b] touches."""
         lo = np.maximum((a * ncoarse).astype(int) - 1, 0)
         hi = np.minimum(np.ceil(b * ncoarse).astype(int), ncoarse - 2)
-        inside = (nodes >= lo[:, None]) & (nodes <= hi[:, None])
-        curv = np.where(inside, cell_curv, -np.inf).max(axis=1)
-        return np.where(hi >= lo, curv, cell_curv.max())
+        curv = np.where(hi >= lo, cell_curv[k, np.minimum(lo, hi)],
+                        cell_curv[k].max(axis=1))
+        for d in range(1, int(np.max(hi - lo, initial=0)) + 1):
+            inside = lo + d <= hi
+            curv[inside] = np.maximum(curv[inside],
+                                      cell_curv[k[inside], lo[inside] + d])
+        return curv
 
-    t0 = 0.0
-    anchor = base  # frames at path time t are M(t) @ anchor
-    M0 = _step_mats(path, n, np.array([0.0]), conjugator)
-    F0 = np.einsum("tij,bjk->tbik", M0, anchor)[0]
+    t0 = np.zeros(K)
+    anchor = base.copy()  # frames at path time t are M(t) @ anchor
+    anorm = np.linalg.norm(anchor, axis=(2, 3)).max(axis=1)
+    F0 = small_matmul(Mc[:, 0, None], anchor)
     s0 = np.linalg.svd(F0, compute_uv=False)
-    samples = 0
-    h = 1.0 / substeps
-    while t0 < 1.0:
-        h = min(h, 1.0 - t0)
-        if h <= MIN_INTERVAL or samples > MAX_STEP_SAMPLES:
+    samples = np.zeros(K, dtype=int)
+    live = np.arange(K)
+    steps = np.arange(1, BLOCK + 1)
+    while live.size:
+        h[live] = np.minimum(h[live], 1.0 - t0[live])
+        if np.any(h[live] <= MIN_INTERVAL) or \
+                np.any(samples[live] > MAX_STEP_SAMPLES):
             raise RefinementExhausted(
                 "phase-tracking step size collapsed; the frame path passes "
                 "too close to a degenerate configuration")
-        ts = np.unique(np.minimum(t0 + h * np.arange(1, BLOCK + 1), 1.0))
-        M = _step_mats(path, n, ts, conjugator)
-        F = np.einsum("tij,bjk->tbik", M, anchor)
+        grid = np.minimum(t0[live, None] + h[live, None] * steps, 1.0)
+        # each block runs up to and including its first time at 1
+        keep = np.ones(grid.shape, dtype=bool)
+        keep[:, 1:] = grid[:, :-1] < 1.0
+        sizes = keep.sum(axis=1)
+        starts = np.cumsum(sizes) - sizes
+        ts = grid[keep]
+        k = np.repeat(live, sizes)
+        M = _step_mats(path, n, ts, E[k], conjugator)
+        F = small_matmul(M[:, None], anchor[k])
         s = np.linalg.svd(F, compute_uv=False)
-        anorm = float(np.linalg.norm(anchor, axis=(1, 2)).max())
-        # interval i runs from sample i-1 (sample -1 is the block start)
-        prev_t = np.concatenate(([t0], ts[:-1]))
-        dF = np.empty_like(F)
-        dF[0] = F[0] - F0
-        dF[1:] = F[1:] - F[:-1]
+        # interval i runs from sample i-1, or from its block's start
+        prev_t = np.empty_like(ts)
+        prev_t[1:] = ts[:-1]
+        prev_t[starts] = t0[live]
+        prev_F = np.empty_like(F)
+        prev_F[1:] = F[:-1]
+        prev_F[starts] = F0[live]
+        smin = s[..., -1]
+        smin0 = np.empty_like(smin)
+        smin0[1:] = smin[:-1]
+        smin0[starts] = s0[live, ..., -1]
         dt = ts - prev_t
         # sup ||F'|| on each interval: chord slope plus curvature margin
-        chord = np.linalg.norm(dF, axis=(2, 3)) / dt[:, None]  # (T, B)
-        smin = s[..., -1]
-        smin0 = np.concatenate((s0[None, ..., -1], smin[:-1]))
-        margin = dt * curvature(prev_t, ts) * anorm
-        accepted = _certified_prefix(dt, chord, margin, smin0, smin, coef)
-        if accepted == 0:
-            h *= 0.5
-            continue
-        for i in range(accepted):
-            yield ts[i], F[i]
-        samples += accepted
-        t0, F0, s0 = ts[accepted - 1], F[accepted - 1], s[accepted - 1]
+        chord = np.linalg.norm(F - prev_F, axis=(2, 3)) / dt[:, None]
+        margin = dt * curvature(prev_t, ts, k) * anorm[k]
+        accepted, worst = _certified_prefix(dt, chord, margin, smin0, smin,
+                                            coef, starts)
+        h[live] *= _step_factor(worst)
+        rank = np.arange(ts.size) - np.repeat(starts, sizes)
+        take = np.flatnonzero(rank < np.repeat(accepted, sizes))
+        yield from zip(k[take].tolist(), ts[take].tolist(), F[take])
+        moved = accepted > 0
+        last = (starts + accepted - 1)[moved]
+        kept = live[moved]
+        samples[kept] += accepted[moved]
+        t0[kept], F0[kept], s0[kept] = ts[last], F[last], s[last]
         # re-anchor by QR: a right GL(m) action, leaving W and phases intact
         # when the worst sigma_min / sigma_max of the stacks degrades
-        if np.min(s0[..., -1] / s0[..., 0]) < RENORM_GAMMA and t0 < 1.0:
-            Q = _normalize(F0)
-            anchor = np.linalg.solve(M[accepted - 1][None], Q)
-            F0 = Q
-            s0 = np.linalg.svd(F0, compute_uv=False)
-        if accepted == ts.size:
-            h *= 2.0
+        gamma = np.min(s0[kept, ..., -1] / s0[kept, ..., 0], axis=1)
+        redo = (gamma < RENORM_GAMMA) & (t0[kept] < 1.0)
+        if redo.any():
+            r = kept[redo]
+            Q = _normalize(F0[r])
+            anchor[r] = np.linalg.solve(M[last[redo]][:, None], Q)
+            anorm[r] = np.linalg.norm(anchor[r], axis=(2, 3)).max(axis=1)
+            F0[r] = Q
+            s0[r] = np.linalg.svd(Q, compute_uv=False)
+        live = live[t0[live] < 1.0]
 
 
-def track_frames(model: OperatorModel, E: float, theta0, frames: np.ndarray,
-                 N: int, conjugator=None, substeps: int = START_SUBSTEPS,
-                 vcache: _VCache | None = None):
+def track_frames(model: OperatorModel, E, theta0, frames: np.ndarray,
+                 N: int, conjugator=None, substeps: int = START_SUBSTEPS):
     """Track det W phases of a batch of frames along the homotopy path.
 
-    frames: (B, 2m, m) array of Lagrangian frame stacks.
-    conjugator(time) optionally supplies a symplectic family B; the
-    tracked path is then the conjugated one, B(n+t)^{-1} P^t B(n) on
-    each unit step, which deforms the conjugated cocycle to the
-    identity.  Returns (accumulated turns per frame, ledgers, frames).
+    E is one energy or an array of them; frames: (B, 2m, m) Lagrangian
+    frame stacks, the same starting frames for every energy.  substeps
+    sets the first step size, 1/substeps; the step controller adapts it
+    from there.  conjugator(time) optionally supplies a symplectic family
+    B; the tracked path is then the conjugated one, B(n+t)^{-1} P^t B(n)
+    on each unit step, which deforms the conjugated cocycle to the
+    identity.
+
+    Returns (acc, last, frames): the accumulated turns and the last
+    det-W phase mod 1, shape E.shape + (B,), and the final normalized
+    frames, shape E.shape + (B, 2m, m).  Each energy's values are the
+    same bit for bit as when it is tracked alone.
     """
+    E = np.asarray(E, dtype=float)
+    energies = E.ravel()
+    K = energies.size
     frames = np.asarray(frames, dtype=complex)
     if frames.ndim == 2:
         frames = frames[None]
     B = frames.shape[0]
     m = model.m
-    path = HomotopyPath(model, E, theta0, N, vcache=vcache)
+    path = HomotopyPath(model, energies, theta0, N)
     G1 = path.G1()
-    phases = _det_phase(frames, m)
-    acc = np.zeros(B)
-    last = phases.copy()
+    last = np.tile(_det_phase(frames, m), (K, 1))
+    frames = np.tile(frames, (K, 1, 1, 1))
+    acc = np.zeros((K, B))
+    h = np.full(K, 1.0 / substeps)
     for n in range(N):
         if conjugator is not None:
             base = G1 @ (conjugator(float(n)) @ frames)
         else:
             base = G1 @ frames
-        Fs = np.array([F for _, F in _certified_samples(
-            path, n, base, substeps, conjugator)])
-        phs = _det_phase(Fs, m)
-        # nearest-lift steps, summed in sample order (accumulate is
-        # sequential, so acc matches a per-sample running sum bitwise)
-        steps = _wrap(np.diff(phs, axis=0, prepend=last[None]))
-        acc = np.add.accumulate(np.concatenate((acc[None], steps)))[-1]
-        last = phs[-1]
-        frames = _normalize(Fs[-1])
-    ledgers = [PhaseLedger(accumulated=float(acc[b]), last_phase=float(last[b]),
-                           steps=N) for b in range(B)]
-    return acc, ledgers, frames
+        # det-W phases in chunks as the samples arrive, so the frames of a
+        # whole unit step are never held at once
+        ks, chunk, phs = [], [], []
+        final = [None] * K
+        for k, _, F in _certified_samples(path, n, base, h, conjugator):
+            ks.append(k)
+            chunk.append(F)
+            final[k] = F
+            if len(chunk) == PHASE_CHUNK:
+                phs.append(_det_phase(np.array(chunk), m))
+                chunk = []
+        if chunk:
+            phs.append(_det_phase(np.array(chunk), m))
+        order = np.argsort(ks, kind="stable")  # by energy, in sample order
+        ks = np.array(ks)[order]
+        phs = np.concatenate(phs)[order]
+        counts = np.bincount(ks, minlength=K)
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        prev = np.empty_like(phs)
+        prev[1:] = phs[:-1]
+        prev[starts] = last
+        # nearest-lift steps, summed per energy in sample order (accumulate
+        # is sequential, so acc matches a per-sample running sum bitwise;
+        # the zero padding after an energy's last step leaves it unchanged)
+        table = np.zeros((K, counts.max() + 1, B))
+        table[:, 0] = acc
+        table[ks, np.arange(ks.size) - starts[ks] + 1] = _wrap(phs - prev)
+        acc = np.add.accumulate(table, axis=1)[:, -1]
+        last = phs[ends - 1]
+        frames = _normalize(np.array(final))
+    shape = E.shape + (B,)
+    return (acc.reshape(shape), last.reshape(shape),
+            frames.reshape(shape + frames.shape[-2:]))
 
 
 def rot_number(model: OperatorModel, E: float, theta0=None,
@@ -340,26 +450,34 @@ def rot_number(model: OperatorModel, E: float, theta0=None,
         theta0 = np.zeros(model.base.d)
     if frame is None:
         frame = LagrangianFrame.standard(model.m)
-    acc, ledgers, _ = track_frames(model, E, theta0, frame.stack[None], N,
-                                   substeps=substeps)
-    return float(acc[0]) / N, ledgers[0]
+    acc, last, _ = track_frames(model, E, theta0, frame.stack, N,
+                                substeps=substeps)
+    ledger = PhaseLedger(accumulated=float(acc[0]),
+                         last_phase=float(last[0]), steps=N)
+    return float(acc[0]) / N, ledger
 
 
 def rot_number_batch(model: OperatorModel, E: float, theta0, frames, N: int):
     """rot_number for many frames at once (shared path evaluation)."""
     stacks = np.array([f.stack if isinstance(f, LagrangianFrame) else f
                        for f in frames])
-    acc, ledgers, _ = track_frames(model, E, theta0, stacks, N)
+    acc, last, _ = track_frames(model, E, theta0, stacks, N)
+    ledgers = [PhaseLedger(accumulated=float(a), last_phase=float(p), steps=N)
+               for a, p in zip(acc, last)]
     return acc / N, ledgers
 
 
-def accumulated_phase(model: OperatorModel, E: float, theta0=None, N: int = 1000):
-    """m * x_E^N: the tracked det-W phase after N unit steps (turns)."""
+def accumulated_phase(model: OperatorModel, E, theta0=None, N: int = 1000):
+    """m * x_E^N: the tracked det-W phase after N unit steps (turns).
+
+    A float for one energy; an array of the same shape for an array of
+    energies, all tracked in one call.
+    """
     if theta0 is None:
         theta0 = np.zeros(model.base.d)
     frame = LagrangianFrame.standard(model.m)
-    acc, _, _ = track_frames(model, E, theta0, frame.stack[None], N)
-    return float(acc[0])
+    acc = track_frames(model, E, theta0, frame.stack, N)[0][..., 0]
+    return float(acc) if acc.ndim == 0 else acc
 
 
 def char_poly_identity(model: OperatorModel, theta, N: int, z: complex) -> float:
@@ -513,14 +631,15 @@ def _anchor_eigenphases(model: OperatorModel, E: float, theta0, N: int,
                         substeps: int = START_SUBSTEPS) -> np.ndarray:
     """Eigenphase branches at t = N, anchored at 0 at the standard frame."""
     m = model.m
-    path = HomotopyPath(model, E, theta0, N)
+    path = HomotopyPath(model, [E], theta0, N)
     G1 = path.G1()
     frame = LagrangianFrame.standard(m).stack
     branches = np.zeros(m)  # W(0) = I
+    h = np.array([1.0 / substeps])
     for n in range(N):
-        base = (G1 @ frame)[None]
-        Fs = np.array([F[0] for _, F in _certified_samples(
-            path, n, base, substeps, None)])
+        base = (G1 @ frame)[None, None]
+        Fs = np.array([F[0] for _, _, F in _certified_samples(
+            path, n, base, h, None)])
         for phases, status in zip(*_unitary_eigenphases(Fs)):
             if status == RANK_DEFICIENT:
                 raise InvalidInput("frame is rank deficient")
@@ -541,6 +660,13 @@ def phase_curves(model: OperatorModel, theta0, N: int, E_grid,
     Branches are anchored by tracking in t at the first grid energy and
     then continued in E with adaptive bisection whenever any branch
     moves a quarter turn or more between adjacent energies.
+
+    The tracked totals are gathered level by level before the branches
+    are matched: the whole grid in one tracker call, then, for each
+    bisection depth below max_depth, every midpoint of an interval whose
+    total moves by 0.45 or more in one call.  These are exactly the
+    energies the matching bisects for the total alone; a bisection forced
+    only by the matching cross-check tracks its midpoint on demand.
     """
     E = np.atleast_1d(np.asarray(E_grid, dtype=float))
     if E.size < 2 or np.any(np.diff(E) <= 0):
@@ -552,7 +678,18 @@ def phase_curves(model: OperatorModel, theta0, N: int, E_grid,
         return _eigenphases_mod(frame_to_unitary(
             LagrangianFrame(F, tol_symmetry=1e-6)))
 
-    totals = {}
+    totals = dict(zip(E.tolist(), accumulated_phase(model, E, theta0, N)))
+    level = list(zip(E[:-1].tolist(), E[1:].tolist()))
+    for _ in range(max_depth):
+        level = [(lo, hi) for lo, hi in level
+                 if abs(totals[hi] - totals[lo]) >= 0.45
+                 and lo < 0.5 * (lo + hi) < hi]
+        if not level:
+            break
+        mids = [0.5 * (lo + hi) for lo, hi in level]
+        totals.update(zip(mids, accumulated_phase(model, mids, theta0, N)))
+        level = [half for (lo, hi), mid in zip(level, mids)
+                 for half in ((lo, mid), (mid, hi))]
 
     def total(energy):
         """Continuous branch of the summed eigenphases (the det-W phase),
@@ -633,7 +770,7 @@ def conjugation_shift(model: OperatorModel, E: float, r, N: int = 2000,
         return _plane_rotation(m, -(np.pi / 2) * float(np.dot(r, lift)))
 
     start = LagrangianFrame.standard(m).stack
-    acc, _, _ = track_frames(model, E, theta0, start[None], N,
+    acc, _, _ = track_frames(model, E, theta0, start, N,
                              conjugator=conjugator)
     rot1 = float(acc[0]) / N
     return float(np.mod(rot1 - rot0, 1.0))

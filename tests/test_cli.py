@@ -101,6 +101,34 @@ class TestGapsCommand:
         svg = (out / "ids.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
 
+    def test_two_eigensolves_one_tracker_call(self, tmp_path, monkeypatch):
+        from ergospectra import model as model_module, rotation
+        from ergospectra.gaps import LabelGroup, verify_ids_rot
+        solves, tracks = [], []
+        solve, track = model_module.eigvals_banded, rotation.track_frames
+        monkeypatch.setattr(model_module, "eigvals_banded",
+                            lambda *a, **k: solves.append(1) or solve(*a, **k))
+        monkeypatch.setattr(rotation, "track_frames",
+                            lambda *a, **k: tracks.append(1) or track(*a, **k))
+        cfg = dict(FREE_CFG)
+        cfg["scan"] = {"E_min": -4.0, "E_max": 4.0, "points": 60, "N": 200}
+        cfg["gaps"] = {"resolution": 60, "n_iter": 300}
+        out = tmp_path / "out"
+        assert main(["gaps", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        # the gap search and the plotted IDS share one restriction; the
+        # IDS/rotation check makes the other, and tracks every record in
+        # one call
+        assert len(solves) == 2 and len(tracks) == 1
+        rows = [line.split(",") for line in
+                (out / "gaps.csv").read_text().splitlines()[2:]]
+        assert len(rows) >= 2
+        group = LabelGroup("torus", (GOLDEN,))
+        for row in rows:
+            mid = 0.5 * (float(row[0]) + float(row[1]))
+            _, rot, _ = verify_ids_rot(free_model(), mid, 200, group)
+            assert float(row[-3]) == rot
+
 
 class TestStarCommand:
     def test_report(self, tmp_path):

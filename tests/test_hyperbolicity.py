@@ -4,6 +4,7 @@ import pytest
 from ergospectra.errors import UnsupportedBase, UnsupportedDirection
 from scipy.linalg import subspace_angles
 
+from ergospectra import hyperbolicity
 from ergospectra.hyperbolicity import (_backward_sweep, _forward_sweep,
                                        contraction_fit, section_degree,
                                        uh_test, uh_test_many, unstable_frame)
@@ -42,6 +43,24 @@ class TestUhTest:
         _, s = uh_test(free_model(), 3.0, n_iter=400)
         for F in s.unstable + s.stable:
             LagrangianFrame(F, tol_symmetry=1e-6)
+
+    def test_non_lagrangian_fiber_not_uh(self, monkeypatch):
+        # multiplying the bottom row of a real 2x1 frame by i breaks
+        # X*Y = Y*X, so the real check rejects every fiber
+        real = hyperbolicity.LagrangianFrame
+        monkeypatch.setattr(hyperbolicity, "LagrangianFrame",
+                            lambda F, **kw: real(F * np.array([[1], [1j]]),
+                                                 **kw))
+        is_uh, splitting = uh_test(free_model(), 3.0, n_iter=400)
+        assert not is_uh and not splitting.converged
+
+    def test_other_errors_in_lagrangian_check_propagate(self, monkeypatch):
+        def broken(F, **kw):
+            raise RuntimeError("not a Lagrangian-check failure")
+
+        monkeypatch.setattr(hyperbolicity, "LagrangianFrame", broken)
+        with pytest.raises(RuntimeError):
+            uh_test(free_model(), 3.0, n_iter=400)
 
     def test_doubling_rejected(self):
         model = OperatorModel(1, np.eye(1), ConstantPotential([[0.0]]),
@@ -126,6 +145,18 @@ class TestContraction:
         assert L > 1.0
         # the free transfer matrix at E=3 contracts by (3+sqrt5)/2 per step
         assert L == pytest.approx((3 + np.sqrt(5)) / 2, rel=1e-2)
+
+    def test_fit_ignores_last_digit_rounding(self, rng):
+        # moving the base point by one ulp changes only the rounding of
+        # the orbit; the fit window ends before the roundoff floor
+        for _ in range(4):
+            model = random_model(rng, m=3)
+            theta = float(rng.random())
+            fits = []
+            for t in (theta, np.nextafter(theta, 1.0)):
+                _, s = uh_test(model, 6.0, n_iter=200, theta0=[t])
+                fits.append(np.array(contraction_fit(model, 6.0, s)))
+            assert np.all(np.abs(fits[1] - fits[0]) <= 1e-10 * fits[0])
 
 
 class TestSectionDegree:

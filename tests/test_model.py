@@ -176,6 +176,25 @@ class TestPotentials:
         model = constant_model(np.diag([0.0, 10.0]))
         assert model.potential_bound() == pytest.approx(10.0)
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_bound_dominates_sampled_norms(self, rng, m):
+        for modes in (1, 2, 3):
+            model = random_model(rng, m=m, modes=modes)
+            bound = model.potential_bound()
+            for theta in rng.random((200, 1)):
+                assert np.linalg.norm(model.f(theta), 2) <= bound
+
+    def test_bound_on_scalar_and_dual_potentials(self, rng):
+        models = [
+            OperatorModel(1, [[1.0]], ScalarTrigPotential({1: 0.5, 2: 0.3j}),
+                          torus_rotation([GOLDEN])),
+            build_dual(TrigPolynomial((0.4, 1.0, 0.2, 1.0, 0.4), GOLDEN)),
+        ]
+        for model in models:
+            bound = model.potential_bound()
+            for theta in rng.random((500, 1)):
+                assert np.linalg.norm(model.f(theta), 2) <= bound
+
     def test_singular_C_rejected(self):
         with pytest.raises(InvalidInput):
             OperatorModel(1, [[0.0]], ConstantPotential([[0.0]]),

@@ -6,6 +6,7 @@ import pytest
 from ergospectra import rotation
 from ergospectra.errors import (InvalidInput, RefinementExhausted,
                                 UnsupportedBase)
+from ergospectra.matkernel import small_matmul
 from ergospectra.cocycle import (LagrangianFrame, frame_to_unitary,
                                  transfer_product)
 from ergospectra.model import OperatorModel, constant_model, free_model
@@ -198,18 +199,21 @@ class TestConjugationShift:
             conjugation_shift(model, 3.0, [1, 0], N=10)
 
 
-def _reference_samples(path, n, base, substeps, conjugator, events):
+def _reference_samples(path, n, base, h, conjugator, events):
     """The per-sample acceptance loop that _certified_samples replaced.
 
-    Kept as an oracle: it certifies one candidate time at a time and
-    appends "halve" / "reanchor" to events when the step is halved or
-    the frames are re-anchored by QR.
+    Kept as an oracle for a path of one energy: it certifies one
+    candidate time at a time and appends "halve" / "reanchor" to events
+    when a block accepts nothing or the frames are re-anchored by QR.
+    After each block it scales h by STEP_TARGET * CERT_TURNS over the
+    largest phase bound its loop examined, within STEP_CLAMP.
     """
     m = path.m
+    E = path.E[0]
     coef = max(2.0 * m / np.pi, 1.0)
     ncoarse = 64
     coarse = np.linspace(0.0, 1.0, ncoarse + 1)
-    Mc = rotation._step_mats(path, n, coarse, conjugator)
+    Mc = rotation._step_mats(path, n, coarse, E, conjugator)
     d2 = np.diff(Mc, 2, axis=0)
     cell_curv = rotation.CURVATURE_SAFETY * ncoarse ** 2 * np.sqrt(
         np.sum(np.abs(d2) ** 2, axis=(1, 2)))
@@ -221,22 +225,21 @@ def _reference_samples(path, n, base, substeps, conjugator, events):
             cell_curv.max())
 
     t0 = 0.0
-    anchor = base
-    M0 = rotation._step_mats(path, n, np.array([0.0]), conjugator)
-    F0 = np.einsum("tij,bjk->tbik", M0, anchor)[0]
+    anchor = base[0]
+    F0 = small_matmul(Mc[0], anchor)
     s0 = np.linalg.svd(F0, compute_uv=False)
-    h = 1.0 / substeps
     while t0 < 1.0:
-        h = min(h, 1.0 - t0)
-        if h <= rotation.MIN_INTERVAL:
+        h[0] = min(h[0], 1.0 - t0)
+        if h[0] <= rotation.MIN_INTERVAL:
             raise RefinementExhausted("step size collapsed")
         ts = np.unique(np.minimum(
-            t0 + h * np.arange(1, rotation.BLOCK + 1), 1.0))
-        M = rotation._step_mats(path, n, ts, conjugator)
-        F = np.einsum("tij,bjk->tbik", M, anchor)
+            t0 + h[0] * np.arange(1, rotation.BLOCK + 1), 1.0))
+        M = rotation._step_mats(path, n, ts, E, conjugator)
+        F = small_matmul(M[:, None], anchor[None])
         s = np.linalg.svd(F, compute_uv=False)
         anorm = float(np.linalg.norm(anchor, axis=(1, 2)).max())
         accepted = 0
+        worst = -np.inf
         prev_t, prev_F, prev_s = t0, F0, s0
         for i in range(ts.size):
             dt = ts[i] - prev_t
@@ -245,16 +248,20 @@ def _reference_samples(path, n, base, substeps, conjugator, events):
             smin0, smin1 = prev_s[..., -1], s[i][..., -1]
             sc = 0.5 * (smin0 + smin1 - L * dt)
             if np.any(sc <= 0.0):
+                worst = np.inf
                 break
             bound = coef * (np.log(smin0 / sc) + np.log(smin1 / sc))
+            worst = max(worst, float(bound.max()))
             if float(bound.max()) >= rotation.CERT_TURNS:
                 break
-            yield ts[i], F[i]
+            yield 0, ts[i], F[i]
             accepted = i + 1
             prev_t, prev_F, prev_s = ts[i], F[i], s[i]
+        h[0] *= float(np.clip(rotation.STEP_TARGET * rotation.CERT_TURNS
+                              / worst if worst > 0 else np.inf,
+                              *rotation.STEP_CLAMP))
         if accepted == 0:
             events.append("halve")
-            h *= 0.5
             continue
         t0, F0, s0 = prev_t, prev_F, prev_s
         sv = np.linalg.svd(F0, compute_uv=False)
@@ -265,16 +272,15 @@ def _reference_samples(path, n, base, substeps, conjugator, events):
             anchor = np.linalg.solve(M[accepted - 1][None], Q)
             F0 = Q
             s0 = np.linalg.svd(F0, compute_uv=False)
-        if accepted == ts.size:
-            h *= 2.0
 
 
-def _reference_step_mats(path, n, ts, conjugator):
+def _reference_step_mats(path, n, ts, E, conjugator):
     """_step_mats with the conjugator inverted per path time."""
-    M = path.step_matrices(n, ts).copy()
+    M = path.step_matrices(n, ts, E).copy()
     if conjugator is not None:
-        for i, t in enumerate(ts):
-            M[i] = np.linalg.inv(conjugator(n + float(t))) @ M[i]
+        for i, t in enumerate(np.ravel(ts)):
+            M.reshape(-1, *M.shape[-2:])[i] = np.linalg.inv(
+                conjugator(n + float(t))) @ M.reshape(-1, *M.shape[-2:])[i]
     return M
 
 
@@ -282,14 +288,14 @@ def _reference_anchor(model, E, theta0, N):
     """_anchor_eigenphases with one LagrangianFrame / frame_to_unitary /
     eigvals per sample, on the oracle's samples."""
     m = model.m
-    path = rotation.HomotopyPath(model, E, theta0, N)
+    path = rotation.HomotopyPath(model, [E], theta0, N)
     G1 = path.G1()
     frame = LagrangianFrame.standard(m).stack
     branches = np.zeros(m)
+    h = np.array([1.0 / rotation.START_SUBSTEPS])
     for n in range(N):
-        base = (G1 @ frame)[None]
-        for _, F in _reference_samples(path, n, base,
-                                          rotation.START_SUBSTEPS, None, []):
+        base = (G1 @ frame)[None, None]
+        for _, _, F in _reference_samples(path, n, base, h, None, []):
             W = frame_to_unitary(LagrangianFrame(F[0], tol_symmetry=np.inf))
             branches, _ = rotation._match_phases(
                 branches, rotation._eigenphases_mod(W))
@@ -339,14 +345,14 @@ class TestCertifiedSampler:
                                               conjugator=conjugator,
                                               substeps=substeps)
         assert len(new) == len(ref)
-        for (t, F), (rt, rF) in zip(new, ref):
+        for (_, t, F), (_, rt, rF) in zip(new, ref):
             assert t == rt
             assert np.array_equal(F, rF)
         assert np.array_equal(out, ref_out)
         # the old per-sample running sum of nearest-lift steps
         ref_acc = np.zeros(frames.shape[0])
         last = rotation._det_phase(frames, m)
-        for _, F in ref:
+        for _, _, F in ref:
             ph = rotation._det_phase(F, m)
             ref_acc += rotation._wrap(ph - last)
             last = ph
@@ -420,3 +426,95 @@ class TestDetPhase:
                       for i in range(len(F))]
         assert np.array_equal(rotation._det_phase(F, m),
                               np.concatenate(one_by_one))
+
+
+class TestEnergyBatch:
+    """Energies tracked together equal the same energies tracked alone."""
+
+    def _compare(self, model, energies, frames, N):
+        acc, last, out = rotation.track_frames(model, energies, [0.17],
+                                               frames, N)
+        assert acc.shape == (energies.size, frames.shape[0])
+        for i, E in enumerate(energies):
+            a, p, o = rotation.track_frames(model, E, [0.17], frames, N)
+            assert np.array_equal(acc[i], a)
+            assert np.array_equal(last[i], p)
+            assert np.array_equal(out[i], o)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_batch_equals_one_energy_calls(self, rng, m):
+        model = random_model(rng, m=m, cond_max=4.0)
+        frames = np.array([LagrangianFrame.standard(m).stack,
+                           np.vstack([np.eye(m), np.eye(m)])])
+        energies = np.array([-2.5, -0.4, 0.0, 0.9, 0.9, 3.1])
+        self._compare(model, energies, frames, 3)
+
+    def test_stack_past_in_place_threshold(self, rng):
+        # 24 energies x 64 candidates x 2 frames x 18 entries: the first
+        # block's frame stack holds over 2**14 complex entries, the size
+        # from which NumPy may reuse a temporary in place
+        model = random_model(rng, m=3, cond_max=4.0)
+        frames = np.array([LagrangianFrame.standard(3).stack,
+                           np.vstack([np.eye(3), np.eye(3)])])
+        energies = np.linspace(-4.0, 4.0, 24)
+        assert energies.size * rotation.BLOCK * frames[0].size * 2 > 2 ** 14
+        self._compare(model, energies, frames, 2)
+
+
+def _recursive_phase_curves(model, theta0, N, E_grid, visited,
+                            max_depth=60):
+    """phase_curves with the totals tracked one energy at a time, when the
+    recursive bisection first asks for them; tracked energies go to
+    visited."""
+    E = np.asarray(E_grid, dtype=float)
+    totals = {}
+
+    def total(energy):
+        key = float(energy)
+        if key not in totals:
+            visited.append(key)
+            totals[key] = rotation.accumulated_phase(model, key, theta0, N)
+        return totals[key]
+
+    def eigphases(energy):
+        F = frame_after(model, energy, theta0, N)
+        return rotation._eigenphases_mod(frame_to_unitary(
+            LagrangianFrame(F, tol_symmetry=1e-6)))
+
+    def continue_to(cur, e_lo, e_hi, depth):
+        S = total(e_hi) - total(e_lo)
+        if abs(S) < 0.45:
+            new = rotation._match_down(cur, eigphases(e_hi), tol=1e-6)
+            if abs(float(np.sum(new - cur)) - S) < 0.05:
+                return new
+        assert depth < max_depth
+        mid = 0.5 * (e_lo + e_hi)
+        half = continue_to(cur, e_lo, mid, depth + 1)
+        return continue_to(half, mid, e_hi, depth + 1)
+
+    out = [rotation._anchor_eigenphases(model, E[0], theta0, N)]
+    for i in range(1, E.size):
+        out.append(continue_to(out[-1], E[i - 1], E[i], 0))
+    return np.array(out)
+
+
+class TestLevelwisePhaseCurves:
+    @pytest.mark.parametrize("case", ["free", "random_m2"])
+    def test_visits_the_recursive_energies(self, monkeypatch, rng, case):
+        if case == "free":
+            model, N, grid = free_model(), 4, np.linspace(-3.0, 3.0, 9)
+        else:
+            model, N = random_model(rng, m=2, cond_max=3.0), 3
+            grid = np.linspace(-6.0, 6.0, 8)
+        ref_visits = []
+        ref = _recursive_phase_curves(model, [0.2], N, grid, ref_visits)
+        visits = []
+        real = rotation.accumulated_phase
+        monkeypatch.setattr(
+            rotation, "accumulated_phase",
+            lambda model, E, *a: visits.extend(np.ravel(E).tolist())
+            or real(model, E, *a))
+        curves = phase_curves(model, [0.2], N, grid)
+        assert len(ref_visits) > grid.size  # the grid alone did not do
+        assert sorted(visits) == sorted(ref_visits)
+        assert np.array_equal(curves.phases, ref)
