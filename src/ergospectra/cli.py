@@ -20,7 +20,7 @@ from . import __version__
 from .errors import ErgospectraError
 from .model import (BaseDynamics, ConstantPotential, OperatorModel,
                     TrigBlockPotential, count_below, ids as ids_scan)
-from .rotation import rot_number
+from .rotation import accumulated_phase
 from .hyperbolicity import (DEFAULT_GAP_THRESHOLD, DEFAULT_N_ITER,
                             uh_test_many)
 from .gaps import (LabelGroup, gap_records_csv, gaps_in_spectrum, label_gap,
@@ -218,14 +218,17 @@ def _write_json(path: pathlib.Path, cfg: dict, payload: dict):
 
 
 # the rot worker must live at module level so the process pool can
-# pickle it; each payload carries the whole config for rebuilding
+# pickle it; each payload carries the whole config for rebuilding and
+# one contiguous chunk of the grid, which the worker tracks in one
+# batched call from the standard frame, as rot_number does (each
+# energy's value is bitwise that of tracking it alone)
 
 def _rot_job(payload):
-    cfg, E = payload
+    cfg, chunk = payload
     model = build_model(cfg)
-    estimate, ledger = rot_number(model, E, _theta0(cfg, model),
-                                  N=cfg["scan"]["N"])
-    return estimate, ledger.steps
+    N = cfg["scan"]["N"]
+    acc = accumulated_phase(model, np.array(chunk), _theta0(cfg, model), N)
+    return (acc / N).tolist()
 
 
 def cmd_ids(cfg: dict, out: pathlib.Path, workers: int) -> int:
@@ -239,14 +242,15 @@ def cmd_ids(cfg: dict, out: pathlib.Path, workers: int) -> int:
 
 def cmd_rot(cfg: dict, out: pathlib.Path, workers: int) -> int:
     grid = _grid(cfg)
-    result = scan(_rot_job, [(cfg, float(e)) for e in grid],
-                  keys=list(range(grid.size)), workers=workers)
+    chunks = [c.tolist() for c in np.array_split(grid, min(workers, grid.size))]
+    result = scan(_rot_job, [(cfg, c) for c in chunks], workers=workers)
     if not result.ok:
-        print(f"failed jobs: {result.failures}", file=sys.stderr)
+        for key, trace in result.failures.items():
+            print(f"failed chunk E={chunks[key]}:\n{trace}", file=sys.stderr)
         return 1
-    rows = "".join(
-        f"{float(e)!r},{result.values[i][0]!r},{result.values[i][1]}\n"
-        for i, e in enumerate(grid))
+    rots = [r for chunk in result.ordered(range(len(chunks))) for r in chunk]
+    N = cfg["scan"]["N"]
+    rows = "".join(f"{float(e)!r},{r!r},{N}\n" for e, r in zip(grid, rots))
     _write(out / "rot.csv", _header(cfg) + "E,rot_turns,ledger_N\n" + rows)
     return 0
 
@@ -417,8 +421,11 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="JSON run config")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=int, default=1,
+                        help="worker processes (at least 1)")
     args = parser.parse_args(argv)
+    if args.workers < 1:
+        parser.error(f"--workers must be at least 1, got {args.workers}")
     try:
         cfg = load_config(args.config)
         return _COMMANDS[args.command](cfg, pathlib.Path(args.out),

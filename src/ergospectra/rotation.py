@@ -187,10 +187,10 @@ def _step_mats(path: HomotopyPath, n: int, ts: np.ndarray, E, conjugator):
     """Step matrices at path times ts and energies E, broadcast together."""
     M = path.step_matrices(n, ts, E)
     if conjugator is not None:
-        # one stacked inverse per block: inv(B) @ M rounds exactly as the
-        # per-time products do, where solve(B, M) moves the last digits
-        B = np.array([conjugator(n + float(t)) for t in np.ravel(ts)])
-        M = np.linalg.inv(B.reshape(np.shape(ts) + M.shape[-2:])) @ M
+        # one conjugator call and one stacked inverse per block: inv(B) @ M
+        # rounds exactly as the per-time products do, where solve(B, M)
+        # moves the last digits
+        M = np.linalg.inv(conjugator(n + np.asarray(ts, dtype=float))) @ M
     return M
 
 
@@ -730,14 +730,20 @@ def phase_curves(model: OperatorModel, theta0, N: int, E_grid,
     return PhaseCurves(E_grid=E, N=N, phases=out)
 
 
-def _plane_rotation(m: int, angle: float) -> np.ndarray:
-    """Rotation in the (1, m+1) symplectic coordinate plane."""
-    R = np.eye(2 * m, dtype=complex)
+def _plane_rotation(m: int, angle) -> np.ndarray:
+    """Rotation in the (1, m+1) symplectic coordinate plane.
+
+    angle may be an array; the result then has shape angle.shape +
+    (2m, 2m), one rotation per angle.
+    """
+    angle = np.asarray(angle, dtype=float)
+    R = np.empty(angle.shape + (2 * m, 2 * m), dtype=complex)
+    R[...] = np.eye(2 * m)
     c, s = np.cos(angle), np.sin(angle)
-    R[0, 0] = c
-    R[0, m] = s
-    R[m, 0] = -s
-    R[m, m] = c
+    R[..., 0, 0] = c
+    R[..., 0, m] = s
+    R[..., m, 0] = -s
+    R[..., m, m] = c
     return R
 
 
@@ -764,10 +770,11 @@ def conjugation_shift(model: OperatorModel, E: float, r, N: int = 2000,
 
     rot0, _ = rot_number(model, E, theta0, N=N)
 
-    def conjugator(time: float) -> np.ndarray:
-        # the clockwise family has degree r under the det-W orientation
-        lift = theta0 + time * alpha
-        return _plane_rotation(m, -(np.pi / 2) * float(np.dot(r, lift)))
+    def conjugator(time) -> np.ndarray:
+        # the clockwise family has degree r under the det-W orientation;
+        # an array of times gives one matrix per time
+        lift = theta0 + np.multiply.outer(time, alpha)
+        return _plane_rotation(m, -(np.pi / 2) * (lift @ r))
 
     start = LagrangianFrame.standard(m).stack
     acc, _, _ = track_frames(model, E, theta0, start, N,

@@ -2,7 +2,10 @@
 
 Jobs are pure functions of picklable payloads; results are merged by
 key, so the numeric output is identical for any worker count or
-completion order.  Failures are collected instead of aborting the scan.
+completion order.  Failures are collected instead of aborting the scan,
+each with its traceback.  A job may cover many energies: the CLI `rot`
+command sends one contiguous chunk of its grid per worker, and the job
+tracks the chunk in one batched call.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 import time
+import traceback
 
 from .errors import InvalidInput
 
@@ -33,8 +37,8 @@ class ScanResult:
 def _run_one(func, key, payload):
     try:
         return key, None, func(payload)
-    except Exception as exc:  # jobs must not take the scan down
-        return key, repr(exc), None
+    except Exception:  # jobs must not take the scan down
+        return key, traceback.format_exc(), None
 
 
 def scan(func, payloads, keys=None, workers: int = 1) -> ScanResult:
@@ -42,7 +46,7 @@ def scan(func, payloads, keys=None, workers: int = 1) -> ScanResult:
 
     func must be a module-level (picklable) function when workers > 1.
     The merged result is independent of scheduling; failed jobs land in
-    ScanResult.failures.
+    ScanResult.failures, keyed like the values, with their tracebacks.
     """
     if keys is None:
         keys = list(range(len(payloads)))
@@ -55,7 +59,8 @@ def scan(func, payloads, keys=None, workers: int = 1) -> ScanResult:
         for key, err, value in outcomes:
             (failures if err else values)[key] = err if err else value
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers,
+                                                 len(payloads))) as pool:
             for key, err, value in pool.map(_run_one,
                                             [func] * len(payloads), keys,
                                             payloads):

@@ -3,9 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from ergospectra.cli import ConfigError, config_hash, load_config, main
+from ergospectra.cli import (ConfigError, build_model, config_hash,
+                             load_config, main)
+from ergospectra.errors import RefinementExhausted
 from ergospectra.hyperbolicity import uh_test
 from ergospectra.model import free_model
+from ergospectra.rotation import rot_number
 
 from conftest import GOLDEN
 
@@ -85,6 +88,86 @@ class TestDeterminism:
         assert main(["rot", "--config", path, "--out", str(out8),
                      "--workers", "8"]) == 0
         assert (out1 / "rot.csv").read_bytes() == (out8 / "rot.csv").read_bytes()
+
+
+def _mat(a):
+    return [[[z.real, z.imag] for z in row] for row in np.asarray(a)]
+
+
+# an m = 2 model with C far from unitary, so the rot rows come from a
+# nontrivial path
+ROT_CFG = {
+    "m": 2,
+    "C": _mat([[1.0, 0.5j], [0.2, 2.0]]),
+    "potential": {"type": "trig_blocks", "modes": [
+        {"k": [0], "block": _mat([[0.5, 0.3 - 0.1j], [0.3 + 0.1j, -0.8]])},
+        {"k": [1], "block": _mat([[0.4, 0.2], [0.1j, 0.3]])}]},
+    "base": {"type": "torus", "alpha": [GOLDEN]},
+    "theta0": [0.21],
+    "scan": {"E_min": -4.0, "E_max": 4.0, "points": 7, "N": 30},
+}
+
+
+class TestRotCommand:
+    def test_workers_byte_identical(self, tmp_path):
+        path = write_cfg(tmp_path, ROT_CFG)
+        outputs = []
+        for w in (1, 2, 3, 8):
+            out = tmp_path / f"w{w}"
+            assert main(["rot", "--config", path, "--out", str(out),
+                         "--workers", str(w)]) == 0
+            outputs.append((out / "rot.csv").read_bytes())
+        assert all(o == outputs[0] for o in outputs[1:])
+
+    def test_rows_equal_per_energy_rot_number(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["rot", "--config", write_cfg(tmp_path, ROT_CFG),
+                     "--out", str(out), "--workers", "2"]) == 0
+        lines = (out / "rot.csv").read_text().splitlines()
+        assert lines[1] == "E,rot_turns,ledger_N"
+        rows = [line.split(",") for line in lines[2:]]
+        model = build_model(ROT_CFG)
+        grid = np.linspace(-4.0, 4.0, 7)
+        assert len(rows) == grid.size
+        for row, E in zip(rows, grid):
+            est, ledger = rot_number(model, float(E), [0.21], N=30)
+            assert row == [repr(float(E)), repr(est), str(ledger.steps)]
+
+    def test_one_tracker_call_with_one_worker(self, tmp_path, monkeypatch):
+        from ergospectra import cli
+        calls = []
+        track = cli.accumulated_phase
+        monkeypatch.setattr(cli, "accumulated_phase",
+                            lambda *a, **k: calls.append(1) or track(*a, **k))
+        assert main(["rot", "--config", write_cfg(tmp_path, ROT_CFG),
+                     "--out", str(tmp_path / "out"), "--workers", "1"]) == 0
+        assert len(calls) == 1
+
+    def test_failed_chunk_names_its_energies(self, tmp_path, monkeypatch,
+                                            capsys):
+        from ergospectra import cli
+
+        def broken(*args, **kwargs):
+            raise RefinementExhausted("step size collapsed on purpose")
+
+        monkeypatch.setattr(cli, "accumulated_phase", broken)
+        out = tmp_path / "out"
+        assert main(["rot", "--config", write_cfg(tmp_path, ROT_CFG),
+                     "--out", str(out), "--workers", "1"]) == 1
+        err = capsys.readouterr().err
+        assert f"E={np.linspace(-4.0, 4.0, 7).tolist()}" in err
+        # the worker's traceback, not just the exception's repr
+        assert "Traceback" in err and "collapsed on purpose" in err
+        assert not (out / "rot.csv").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected(self, tmp_path, workers):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["rot", "--config", write_cfg(tmp_path, ROT_CFG),
+                  "--out", str(out), "--workers", workers])
+        assert exc.value.code == 2
+        assert not out.exists()
 
 
 class TestGapsCommand:

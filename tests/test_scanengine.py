@@ -32,6 +32,12 @@ class TestScan:
         assert set(result.values) == {0, 2}
         assert "boom" in result.failures[1]
 
+    def test_failure_keeps_traceback(self):
+        result = scan(flaky_job, [1, 2, 3], workers=2)
+        assert result.failures[1].startswith("Traceback")
+        assert "flaky_job" in result.failures[1]
+        assert "ValueError: boom" in result.failures[1]
+
     def test_custom_keys_and_order(self):
         result = scan(square_job, [3, 1, 2], keys=["c", "a", "b"], workers=2)
         assert result.ordered(["a", "b", "c"]) == [1, 4, 9]
