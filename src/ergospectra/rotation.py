@@ -190,7 +190,7 @@ def _step_mats(path: HomotopyPath, n: int, ts: np.ndarray, E, conjugator):
         # one conjugator call and one stacked inverse per block: inv(B) @ M
         # rounds exactly as the per-time products do, where solve(B, M)
         # moves the last digits
-        M = np.linalg.inv(conjugator(n + np.asarray(ts, dtype=float))) @ M
+        M = np.linalg.inv(conjugator(n + ts)) @ M
     return M
 
 
@@ -375,7 +375,8 @@ def track_frames(model: OperatorModel, E, theta0, frames: np.ndarray,
     from there.  conjugator(time) optionally supplies a symplectic family
     B; the tracked path is then the conjugated one, B(n+t)^{-1} P^t B(n)
     on each unit step, which deforms the conjugated cocycle to the
-    identity.
+    identity.  It is called with an array of times as well, and then
+    returns one matrix per time.
 
     Returns (acc, last, frames): the accumulated turns and the last
     det-W phase mod 1, shape E.shape + (B,), and the final normalized

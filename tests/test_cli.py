@@ -20,6 +20,24 @@ FREE_CFG = {
 }
 
 
+def _mat(a):
+    return [[[z.real, z.imag] for z in row] for row in np.asarray(a)]
+
+
+# an m = 2 model with C far from unitary, so the rot rows come from a
+# nontrivial path
+ROT_CFG = {
+    "m": 2,
+    "C": _mat([[1.0, 0.5j], [0.2, 2.0]]),
+    "potential": {"type": "trig_blocks", "modes": [
+        {"k": [0], "block": _mat([[0.5, 0.3 - 0.1j], [0.3 + 0.1j, -0.8]])},
+        {"k": [1], "block": _mat([[0.4, 0.2], [0.1j, 0.3]])}]},
+    "base": {"type": "torus", "alpha": [GOLDEN]},
+    "theta0": [0.21],
+    "scan": {"E_min": -4.0, "E_max": 4.0, "points": 7, "N": 30},
+}
+
+
 def write_cfg(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -79,37 +97,8 @@ class TestIdsCommand:
 
 class TestDeterminism:
     def test_rot_workers_byte_identical(self, tmp_path):
-        cfg = dict(FREE_CFG)
-        cfg["scan"] = {"E_min": -2.5, "E_max": 2.5, "points": 6, "N": 200}
-        path = write_cfg(tmp_path, cfg)
-        out1, out8 = tmp_path / "w1", tmp_path / "w8"
-        assert main(["rot", "--config", path, "--out", str(out1),
-                     "--workers", "1"]) == 0
-        assert main(["rot", "--config", path, "--out", str(out8),
-                     "--workers", "8"]) == 0
-        assert (out1 / "rot.csv").read_bytes() == (out8 / "rot.csv").read_bytes()
-
-
-def _mat(a):
-    return [[[z.real, z.imag] for z in row] for row in np.asarray(a)]
-
-
-# an m = 2 model with C far from unitary, so the rot rows come from a
-# nontrivial path
-ROT_CFG = {
-    "m": 2,
-    "C": _mat([[1.0, 0.5j], [0.2, 2.0]]),
-    "potential": {"type": "trig_blocks", "modes": [
-        {"k": [0], "block": _mat([[0.5, 0.3 - 0.1j], [0.3 + 0.1j, -0.8]])},
-        {"k": [1], "block": _mat([[0.4, 0.2], [0.1j, 0.3]])}]},
-    "base": {"type": "torus", "alpha": [GOLDEN]},
-    "theta0": [0.21],
-    "scan": {"E_min": -4.0, "E_max": 4.0, "points": 7, "N": 30},
-}
-
-
-class TestRotCommand:
-    def test_workers_byte_identical(self, tmp_path):
+        # 7 energies: one chunk, uneven chunks, and more workers than
+        # energies
         path = write_cfg(tmp_path, ROT_CFG)
         outputs = []
         for w in (1, 2, 3, 8):
@@ -119,6 +108,8 @@ class TestRotCommand:
             outputs.append((out / "rot.csv").read_bytes())
         assert all(o == outputs[0] for o in outputs[1:])
 
+
+class TestRotCommand:
     def test_rows_equal_per_energy_rot_number(self, tmp_path):
         out = tmp_path / "out"
         assert main(["rot", "--config", write_cfg(tmp_path, ROT_CFG),
