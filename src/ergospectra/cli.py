@@ -231,7 +231,7 @@ def _rot_job(payload):
     return (acc / N).tolist()
 
 
-def cmd_ids(cfg: dict, out: pathlib.Path, workers: int) -> int:
+def cmd_ids(cfg: dict, out: pathlib.Path) -> int:
     model = build_model(cfg)
     grid = _grid(cfg)
     vals = ids_scan(model, _theta0(cfg, model), cfg["scan"]["N"], grid)
@@ -255,7 +255,7 @@ def cmd_rot(cfg: dict, out: pathlib.Path, workers: int) -> int:
     return 0
 
 
-def cmd_uh(cfg: dict, out: pathlib.Path, workers: int) -> int:
+def cmd_uh(cfg: dict, out: pathlib.Path) -> int:
     grid = _grid(cfg)
     model = build_model(cfg)
     opts = cfg.get("uh", {})
@@ -272,7 +272,7 @@ def cmd_uh(cfg: dict, out: pathlib.Path, workers: int) -> int:
     return 0
 
 
-def cmd_gaps(cfg: dict, out: pathlib.Path, workers: int) -> int:
+def cmd_gaps(cfg: dict, out: pathlib.Path) -> int:
     model = build_model(cfg)
     grid = _grid(cfg)
     theta0 = _theta0(cfg, model)
@@ -309,7 +309,7 @@ def cmd_gaps(cfg: dict, out: pathlib.Path, workers: int) -> int:
     return 0
 
 
-def cmd_duality(cfg: dict, out: pathlib.Path, workers: int) -> int:
+def cmd_duality(cfg: dict, out: pathlib.Path) -> int:
     if "dual_of" not in cfg:
         raise ConfigError("duality command requires a 'dual_of' section")
     d = cfg["dual_of"]
@@ -333,7 +333,7 @@ def cmd_duality(cfg: dict, out: pathlib.Path, workers: int) -> int:
     return 0
 
 
-def cmd_perturb(cfg: dict, out: pathlib.Path, workers: int) -> int:
+def cmd_perturb(cfg: dict, out: pathlib.Path) -> int:
     if "law" not in cfg:
         raise ConfigError("perturb command requires a 'law' section")
     model = build_model(cfg)
@@ -348,7 +348,7 @@ def cmd_perturb(cfg: dict, out: pathlib.Path, workers: int) -> int:
     return 0
 
 
-def cmd_star(cfg: dict, out: pathlib.Path, workers: int) -> int:
+def cmd_star(cfg: dict, out: pathlib.Path) -> int:
     if "star" not in cfg:
         raise ConfigError("star command requires a 'star' section")
     A = SpectralSet.from_json(cfg["star"]["A"])
@@ -422,14 +422,17 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON run config")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes (at least 1)")
+                        help="worker processes for rot (at least 1); the "
+                        "other commands run in one process")
     args = parser.parse_args(argv)
     if args.workers < 1:
         parser.error(f"--workers must be at least 1, got {args.workers}")
     try:
         cfg = load_config(args.config)
-        return _COMMANDS[args.command](cfg, pathlib.Path(args.out),
-                                       args.workers)
+        out = pathlib.Path(args.out)
+        if args.command == "rot":
+            return cmd_rot(cfg, out, args.workers)
+        return _COMMANDS[args.command](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -75,21 +75,22 @@ class _DualPotential:
         self.v = v
         self.m = v.degree
 
-    def __call__(self, theta) -> np.ndarray:
+    def at(self, points) -> np.ndarray:
+        """f at each point of an (P, d) stack, shape (P, m, m); only the
+        first coordinate of a point is read."""
         d = self.m
-        p = np.atleast_1d(np.asarray(theta, dtype=float))
-        x = float(p[0])
-        f = np.empty((d, d), dtype=complex)
-        for i in range(d):
-            for j in range(d):
-                if i == j:
-                    # row i carries the site theta + (d-1-i) alpha; the
-                    # constant Fourier mode of v also sits on the diagonal
-                    f[i, j] = (2 * np.cos(2 * np.pi * (x + (d - 1 - i) * self.v.alpha))
-                               + self.v.coeff(0))
-                else:
-                    f[i, j] = self.v.coeff(i - j)
+        x = np.asarray(points, dtype=float)[:, 0]
+        f = np.empty((x.size, d, d), dtype=complex)
+        f[:] = [[self.v.coeff(i - j) for j in range(d)] for i in range(d)]
+        # row i carries the site theta + (d-1-i) alpha; the constant
+        # Fourier mode of v also sits on the diagonal
+        shift = (d - 1 - np.arange(d)) * self.v.alpha
+        f[:, np.arange(d), np.arange(d)] = (
+            2 * np.cos(2 * np.pi * (x[:, None] + shift)) + self.v.coeff(0))
         return f
+
+    def __call__(self, theta) -> np.ndarray:
+        return self.at(np.atleast_1d(theta)[None])[0]
 
     def fourier_blocks(self) -> dict:
         d = self.m

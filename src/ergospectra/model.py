@@ -100,8 +100,12 @@ class ConstantPotential:
         self.block = hermitian_part(block)
         self.m = self.block.shape[0]
 
+    def at(self, points) -> np.ndarray:
+        """f at each point of an (P, d) stack, shape (P, m, m)."""
+        return np.tile(self.block, (len(points), 1, 1))
+
     def __call__(self, theta) -> np.ndarray:
-        return self.block
+        return self.at(np.atleast_1d(theta)[None])[0]
 
     def fourier_blocks(self) -> dict:
         return {(0,): self.block}
@@ -133,12 +137,17 @@ class TrigBlockPotential:
                 table[mk] = table[k].conj().T
         self.coeffs = table
 
-    def __call__(self, theta) -> np.ndarray:
-        p = np.atleast_1d(np.asarray(theta, dtype=float))
-        f = np.zeros((self.m, self.m), dtype=complex)
+    def at(self, points) -> np.ndarray:
+        """f at each point of an (P, d) stack, shape (P, m, m)."""
+        p = np.asarray(points, dtype=float)
+        f = np.zeros((len(p), self.m, self.m), dtype=complex)
         for k, F in self.coeffs.items():
-            f += F * np.exp(2j * np.pi * float(np.dot(k, p)))
-        return (f + f.conj().T) / 2
+            f += F * np.exp(2j * np.pi * (p @ np.array(k, dtype=float)))[
+                :, None, None]
+        return (f + f.conj().swapaxes(-1, -2)) / 2
+
+    def __call__(self, theta) -> np.ndarray:
+        return self.at(np.atleast_1d(theta)[None])[0]
 
     def fourier_blocks(self) -> dict:
         return dict(self.coeffs)
@@ -152,13 +161,23 @@ class ScalarTrigPotential:
         self.coeffs = {int(k): complex(c) for k, c in coeffs.items()}
         self.m = 1
 
+    def at(self, points) -> np.ndarray:
+        """f at each point of an (P, d) stack, shape (P, 1, 1); only the
+        first coordinate of a point is read."""
+        x = np.asarray(points, dtype=float)[:, 0]
+        s = np.zeros(x.size)
+        for k, c in self.coeffs.items():
+            e = np.exp(2j * np.pi * k * x)
+            # Re(c e(kx)) with the two products a complex scalar product
+            # rounds; the array product may fuse them
+            s = s + (c.real * e.real - c.imag * e.imag)
+        return s.astype(complex)[:, None, None]
+
     def value(self, x: float) -> float:
-        s = sum(c * np.exp(2j * np.pi * k * x) for k, c in self.coeffs.items())
-        return float(np.real(s))
+        return float(self.at([[x]])[0, 0, 0].real)
 
     def __call__(self, theta) -> np.ndarray:
-        p = np.atleast_1d(np.asarray(theta, dtype=float))
-        return np.array([[self.value(float(p[0]))]], dtype=complex)
+        return self.at(np.atleast_1d(theta)[None])[0]
 
     def fourier_blocks(self) -> dict:
         # the real part of sum c_k e(kx) has coefficients (c_k + conj c_-k)/2
@@ -169,7 +188,11 @@ class ScalarTrigPotential:
 
 
 class OperatorModel:
-    """A block Schrodinger operator (C, f, base dynamics)."""
+    """A block Schrodinger operator (C, f, base dynamics).
+
+    The potential f gives its block at one point, f(theta), and at each
+    point of an (P, d) stack, f.at(points); blocks() makes one at() call.
+    """
 
     def __init__(self, m: int, C, potential, base: BaseDynamics, name: str = "",
                  meta: dict | None = None):
@@ -201,11 +224,7 @@ class OperatorModel:
 
         For N < 0, blocks[k] = f(T^-(k+1) theta) on the backward orbit.
         """
-        pts = self.base.orbit(theta, N)
-        out = np.empty((len(pts), self.m, self.m), dtype=complex)
-        for n in range(len(pts)):
-            out[n] = self.potential(pts[n])
-        return out
+        return self.potential.at(self.base.orbit(theta, N))
 
     def potential_bound(self) -> float:
         """Upper bound on sup ||f(theta)||_2: the sum of the spectral norms

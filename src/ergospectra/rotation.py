@@ -8,18 +8,23 @@ continuous argument function m*x(t); its time average is the fibered
 rotation number (in turns, i.e. arg/2pi).
 
 One tracker, `track_frames`, serves every caller, and it takes an
-array of energies.  The step matrices are affine in E, so those of all
-energies and sample times are formed in one stacked call, with V(t)
-evaluated once per distinct time.  Each energy keeps its own sample
-times, step size and anchor, so its result does not depend on which
-other energies share the call.  The step size is set by a controller:
+array of energies.  The path obeys the cocycle identity P^t(theta) =
+P^(t-n)(T^n theta) A_{E,n}(theta), so the winding over N unit steps is
+the sum of the windings of the single unit steps, and unit step n only
+needs the Lagrangian plane it starts from.  A QR walk along the orbit
+supplies these planes, and every (energy, unit step) pair is then
+tracked as an independent lane: LANES lanes share one stacked call per
+block of candidate times, with V(t) evaluated once per distinct time.
+Each lane keeps its own sample times, step size and anchor, so its
+samples do not depend on which other lanes share its stack.  The step
+size starts every unit step at 1/substeps and is set by a controller:
 after each block of candidate times it is scaled by STEP_TARGET *
-CERT_TURNS over the block's largest phase bound, clamped to STEP_CLAMP,
-and it carries over into the next unit step.
+CERT_TURNS over the block's largest phase bound, clamped to STEP_CLAMP.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 import itertools
 
@@ -42,7 +47,8 @@ RENORM_GAMMA = 0.5
 STEP_TARGET = 0.5          # aim a block's largest phase bound at this share of CERT_TURNS
 STEP_CLAMP = (0.125, 2.0)  # range of the factor h changes by after one block
 COARSE = np.linspace(0.0, 1.0, 65)  # curvature grid of every unit step
-PHASE_CHUNK = 1024  # samples whose det-W phases are taken together
+LANES = 16  # (energy, unit step) lanes tracked side by side in one stack
+PHASE_TOL = 1e-8  # turns by which two det-W phases of one plane may differ
 
 
 def _wrap(x):
@@ -95,7 +101,7 @@ class PhaseLedger:
         self.steps += 1
         return delta
 
-    def consistent(self, tol: float = 1e-8) -> bool:
+    def consistent(self, tol: float = PHASE_TOL) -> bool:
         return abs(_wrap(self.accumulated - self.last_phase)) < tol
 
 
@@ -129,32 +135,32 @@ class HomotopyPath:
             self._coarse_v = self.gl.pair_many(ts)
         return self._coarse_v
 
-    def step_matrices(self, n: int, ts, E) -> np.ndarray:
-        """M(t) = G1^{-1} G2(t) on unit step n at path times ts and
-        energies E (broadcast against ts), shape ts.shape + (2m, 2m);
-        meant to act on G1-premultiplied frames.
+    def step_matrices(self, n, ts, E) -> np.ndarray:
+        """M(t) = G1^{-1} G2(t) on unit steps n at path times ts and
+        energies E, the three broadcast together, shape broadcast +
+        (2m, 2m); meant to act on G1-premultiplied frames.
 
         D = E I - f - CC* - I enters M affinely, M = M0(t) + E M1(t), so
-        V(t), M0 and the non-zero block row of M1 are formed once per
-        distinct time.
+        V(t) is formed once per distinct time; every entry is formed
+        element by element, whatever else shares the call.
         """
         m = self.m
         ts = np.asarray(ts, dtype=float)
         u, inv = np.unique(ts, return_inverse=True)
         Vinv, Vst = self._v_pairs(u)
-        t = u[:, None, None]
-        tD = t * self._D0[n] + self.CCstar
+        shape = np.broadcast_shapes(np.shape(n), ts.shape, np.shape(E))
+        pick = np.broadcast_to(inv.reshape(ts.shape), shape)
+        t = np.broadcast_to(ts, shape)[..., None, None]
         # bottom block row [t V^-1, V*]; the top one is tD @ that plus
         # [V^-1, 0], and E adds t times the bottom row to it
-        bottom = np.concatenate((t * Vinv, Vst), axis=-1)
+        bottom = np.concatenate((u[:, None, None] * Vinv, Vst), axis=-1)[pick]
+        tD = t * self._D0[np.broadcast_to(n, shape)] + self.CCstar
         top = small_matmul(tD, bottom)
-        top[..., :m] += Vinv
-        inv = inv.reshape(ts.shape)
+        top[..., :m] += Vinv[pick]
         E = np.asarray(E, dtype=float)[..., None, None]
-        M = np.empty(np.broadcast_shapes(E.shape[:-2], ts.shape)
-                     + (2 * m, 2 * m), dtype=complex)
-        M[..., :m, :] = top[inv] + E * (t * bottom)[inv]
-        M[..., m:, :] = bottom[inv]
+        M = np.empty(shape + (2 * m, 2 * m), dtype=complex)
+        M[..., :m, :] = top + E * (t * bottom)
+        M[..., m:, :] = bottom
         return M
 
     def G1(self) -> np.ndarray:
@@ -183,8 +189,9 @@ def _normalize(frames: np.ndarray) -> np.ndarray:
     return Q
 
 
-def _step_mats(path: HomotopyPath, n: int, ts: np.ndarray, E, conjugator):
-    """Step matrices at path times ts and energies E, broadcast together."""
+def _step_mats(path: HomotopyPath, n, ts: np.ndarray, E, conjugator):
+    """Step matrices on unit steps n at path times ts and energies E,
+    broadcast together."""
     M = path.step_matrices(n, ts, E)
     if conjugator is not None:
         # one conjugator call and one stacked inverse per block: inv(B) @ M
@@ -239,18 +246,135 @@ def _step_factor(worst: np.ndarray) -> np.ndarray:
     return np.clip(scale, *STEP_CLAMP)
 
 
-def _certified_samples(path: HomotopyPath, n: int, base: np.ndarray,
-                       h: np.ndarray, conjugator):
-    """Certified sample times of the frame paths on one unit step.
+class _LaneStack:
+    """Certified sampling state of a stack of lanes.
 
-    base (K, B, 2m, m) holds the frames at t = 0 of each of the K
-    energies of the path, and h (K,) their step sizes; h is updated in
-    place and is left at the step each energy starts its next unit step
-    with.  Yields (k, t, F) for energy k in increasing t, ending exactly
-    at t = 1, with the guarantee that between consecutive samples of an
-    energy neither the det-W phase nor any eigenphase of W moves by
+    A lane is one unit step n of one energy k.  Lane i starts at t = 0
+    from the frames base[i] (B, 2m, m) with step size h[i]; t0, h,
+    anchor, F0 and s0 are its own.  Each call of advance() certifies one
+    block of up to BLOCK candidate times t0 + h, t0 + 2h, ... for every
+    lane still short of t = 1, all lanes in one stacked call, and
+    appends each lane's accepted times and frames to its queue.
+
+    Sample i of a block is only compared with sample i-1, so every block
+    is certified at once and its accepted samples are the prefix up to
+    the first failing interval.  The step controller then scales h by
+    STEP_TARGET * CERT_TURNS over the largest phase bound the block's
+    certificate examined, within STEP_CLAMP, whether the block accepted
+    all, some or none of its candidates: the bound grows about linearly
+    with the interval, so the next block aims at half the allowed phase
+    motion.
+    """
+
+    def __init__(self, path: HomotopyPath, k, n, base, h, conjugator):
+        self.path, self.conjugator = path, conjugator
+        self.k, self.n, self.E = k, n, path.E[k]
+        self.base, self.h = base, h
+        self.coef = max(2.0 * path.m / np.pi, 1.0)
+        Mc = _step_mats(path, n[:, None], COARSE, self.E[:, None], conjugator)
+        d2 = np.diff(Mc, 2, axis=1)
+        self.cell_curv = CURVATURE_SAFETY * (COARSE.size - 1) ** 2 * np.sqrt(
+            np.sum(np.abs(d2) ** 2, axis=(2, 3)))  # (lanes, interior nodes)
+        self.t0 = np.zeros(k.size)
+        self.anchor = base.copy()  # frames at path time t are M(t) @ anchor
+        self.anorm = np.linalg.norm(base, axis=(2, 3)).max(axis=1)
+        self.F0 = small_matmul(Mc[:, 0, None], base)
+        self.s0 = np.linalg.svd(self.F0, compute_uv=False)
+        self.start = _det_phase(self.F0, path.m)  # det-W phase at t = 0
+        self.samples = np.zeros(k.size, dtype=int)
+        self.queues = [deque() for _ in range(k.size)]
+        self.live = np.arange(k.size)
+
+    def _curvature(self, a, b, lane):
+        """Max of each lane's cell_curv over the cells its interval
+        [a, b] touches."""
+        ncoarse = COARSE.size - 1
+        cell_curv = self.cell_curv
+        lo = np.maximum((a * ncoarse).astype(int) - 1, 0)
+        hi = np.minimum(np.ceil(b * ncoarse).astype(int), ncoarse - 2)
+        curv = np.where(hi >= lo, cell_curv[lane, np.minimum(lo, hi)],
+                        cell_curv[lane].max(axis=1))
+        for d in range(1, int(np.max(hi - lo, initial=0)) + 1):
+            inside = lo + d <= hi
+            curv[inside] = np.maximum(curv[inside],
+                                      cell_curv[lane[inside], lo[inside] + d])
+        return curv
+
+    def advance(self):
+        """One stacked pass: one block of candidates for every live lane."""
+        live, t0, h = self.live, self.t0, self.h
+        h[live] = np.minimum(h[live], 1.0 - t0[live])
+        if np.any(h[live] <= MIN_INTERVAL) or \
+                np.any(self.samples[live] > MAX_STEP_SAMPLES):
+            raise RefinementExhausted(
+                "phase-tracking step size collapsed; the frame path passes "
+                "too close to a degenerate configuration")
+        grid = np.minimum(t0[live, None]
+                          + h[live, None] * np.arange(1, BLOCK + 1), 1.0)
+        # each block runs up to and including its first time at 1
+        keep = np.ones(grid.shape, dtype=bool)
+        keep[:, 1:] = grid[:, :-1] < 1.0
+        sizes = keep.sum(axis=1)
+        starts = np.cumsum(sizes) - sizes
+        ts = grid[keep]
+        lane = np.repeat(live, sizes)
+        M = _step_mats(self.path, self.n[lane], ts, self.E[lane],
+                       self.conjugator)
+        F = small_matmul(M[:, None], self.anchor[lane])
+        s = np.linalg.svd(F, compute_uv=False)
+        # interval i runs from sample i-1, or from its block's start
+        prev_t = np.empty_like(ts)
+        prev_t[1:] = ts[:-1]
+        prev_t[starts] = t0[live]
+        prev_F = np.empty_like(F)
+        prev_F[1:] = F[:-1]
+        prev_F[starts] = self.F0[live]
+        smin = s[..., -1]
+        smin0 = np.empty_like(smin)
+        smin0[1:] = smin[:-1]
+        smin0[starts] = self.s0[live, ..., -1]
+        dt = ts - prev_t
+        # sup ||F'|| on each interval: chord slope plus curvature margin
+        chord = np.linalg.norm(F - prev_F, axis=(2, 3)) / dt[:, None]
+        margin = dt * self._curvature(prev_t, ts, lane) * self.anorm[lane]
+        accepted, worst = _certified_prefix(dt, chord, margin, smin0, smin,
+                                            self.coef, starts)
+        h[live] *= _step_factor(worst)
+        moved = accepted > 0
+        for i, a, b in zip(live[moved].tolist(), starts[moved].tolist(),
+                           (starts + accepted)[moved].tolist()):
+            self.queues[i].append((ts[a:b].tolist(), F[a:b]))
+        last = (starts + accepted - 1)[moved]
+        kept = live[moved]
+        self.samples[kept] += accepted[moved]
+        t0[kept], self.F0[kept], self.s0[kept] = ts[last], F[last], s[last]
+        # re-anchor by QR: a right GL(m) action, leaving W and phases intact
+        # when the worst sigma_min / sigma_max of the stacks degrades
+        s0 = self.s0
+        gamma = np.min(s0[kept, ..., -1] / s0[kept, ..., 0], axis=1)
+        redo = (gamma < RENORM_GAMMA) & (t0[kept] < 1.0)
+        if redo.any():
+            r = kept[redo]
+            Q = _normalize(self.F0[r])
+            self.anchor[r] = np.linalg.solve(M[last[redo]][:, None], Q)
+            self.anorm[r] = np.linalg.norm(self.anchor[r],
+                                           axis=(2, 3)).max(axis=1)
+            self.F0[r] = Q
+            s0[r] = np.linalg.svd(Q, compute_uv=False)
+        self.live = live[t0[live] < 1.0]
+
+
+def _certified_samples(stack: _LaneStack, lane: int):
+    """Certified sample times of the frame paths of one lane.
+
+    Yields (k, t, F) for the lane's energy k in increasing t, ending
+    exactly at t = 1, with the guarantee that between consecutive
+    samples neither the det-W phase nor any eigenphase of W moves by
     CERT_TURNS or more, so continuous branches can be read off by
-    nearest-lift wrapping with no aliasing.
+    nearest-lift wrapping with no aliasing.  The samples are read from
+    the lane's queue in the shared stack, which runs its next stacked
+    pass whenever that queue is empty; the lane's step size starts at
+    the stack's h, 1/substeps.
 
     The certificate is a priori rather than observational.  W is
     invariant under the right GL(m) action on frames, so the tracked
@@ -264,105 +388,74 @@ def _certified_samples(path: HomotopyPath, n: int, base: np.ndarray,
     between samples is impossible by construction.  Frames are QR
     renormalized (a right action, so phase-neutral) whenever gamma
     degrades, keeping the bound proportional to g alone.
-
-    Each pass evaluates one block of up to BLOCK candidate times t0 + h,
-    t0 + 2h, ... per energy still short of t = 1, all energies in one
-    stacked call.  Sample i of a block is only compared with sample
-    i-1, so every block is certified at once and its accepted samples
-    are the prefix up to the first failing interval.  The step
-    controller then scales h by STEP_TARGET * CERT_TURNS over the
-    largest phase bound the block's certificate examined, within
-    STEP_CLAMP, whether the block accepted all, some or none of its
-    candidates: the bound grows about linearly with the interval, so
-    the next block aims at half the allowed phase motion.
     """
-    K = base.shape[0]
-    m = path.m
-    coef = max(2.0 * m / np.pi, 1.0)
-    ncoarse = COARSE.size - 1
-    E = path.E
-    Mc = _step_mats(path, n, COARSE, E[:, None], conjugator)
-    d2 = np.diff(Mc, 2, axis=1)
-    cell_curv = CURVATURE_SAFETY * ncoarse ** 2 * np.sqrt(
-        np.sum(np.abs(d2) ** 2, axis=(2, 3)))  # (K, interior nodes)
+    queue, k = stack.queues[lane], int(stack.k[lane])
+    while True:
+        while queue:
+            ts, F = queue.popleft()
+            for t, Ft in zip(ts, F):
+                yield k, t, Ft
+        if stack.t0[lane] >= 1.0:
+            return
+        stack.advance()
 
-    def curvature(a, b, k):
-        """Max of energy k's cell_curv over the cells each interval
-        [a, b] touches."""
-        lo = np.maximum((a * ncoarse).astype(int) - 1, 0)
-        hi = np.minimum(np.ceil(b * ncoarse).astype(int), ncoarse - 2)
-        curv = np.where(hi >= lo, cell_curv[k, np.minimum(lo, hi)],
-                        cell_curv[k].max(axis=1))
-        for d in range(1, int(np.max(hi - lo, initial=0)) + 1):
-            inside = lo + d <= hi
-            curv[inside] = np.maximum(curv[inside],
-                                      cell_curv[k[inside], lo[inside] + d])
-        return curv
 
-    t0 = np.zeros(K)
-    anchor = base.copy()  # frames at path time t are M(t) @ anchor
-    anorm = np.linalg.norm(anchor, axis=(2, 3)).max(axis=1)
-    F0 = small_matmul(Mc[:, 0, None], anchor)
-    s0 = np.linalg.svd(F0, compute_uv=False)
-    samples = np.zeros(K, dtype=int)
-    live = np.arange(K)
-    steps = np.arange(1, BLOCK + 1)
-    while live.size:
-        h[live] = np.minimum(h[live], 1.0 - t0[live])
-        if np.any(h[live] <= MIN_INTERVAL) or \
-                np.any(samples[live] > MAX_STEP_SAMPLES):
-            raise RefinementExhausted(
-                "phase-tracking step size collapsed; the frame path passes "
-                "too close to a degenerate configuration")
-        grid = np.minimum(t0[live, None] + h[live, None] * steps, 1.0)
-        # each block runs up to and including its first time at 1
-        keep = np.ones(grid.shape, dtype=bool)
-        keep[:, 1:] = grid[:, :-1] < 1.0
-        sizes = keep.sum(axis=1)
-        starts = np.cumsum(sizes) - sizes
-        ts = grid[keep]
-        k = np.repeat(live, sizes)
-        M = _step_mats(path, n, ts, E[k], conjugator)
-        F = small_matmul(M[:, None], anchor[k])
-        s = np.linalg.svd(F, compute_uv=False)
-        # interval i runs from sample i-1, or from its block's start
-        prev_t = np.empty_like(ts)
-        prev_t[1:] = ts[:-1]
-        prev_t[starts] = t0[live]
-        prev_F = np.empty_like(F)
-        prev_F[1:] = F[:-1]
-        prev_F[starts] = F0[live]
-        smin = s[..., -1]
-        smin0 = np.empty_like(smin)
-        smin0[1:] = smin[:-1]
-        smin0[starts] = s0[live, ..., -1]
-        dt = ts - prev_t
-        # sup ||F'|| on each interval: chord slope plus curvature margin
-        chord = np.linalg.norm(F - prev_F, axis=(2, 3)) / dt[:, None]
-        margin = dt * curvature(prev_t, ts, k) * anorm[k]
-        accepted, worst = _certified_prefix(dt, chord, margin, smin0, smin,
-                                            coef, starts)
-        h[live] *= _step_factor(worst)
-        rank = np.arange(ts.size) - np.repeat(starts, sizes)
-        take = np.flatnonzero(rank < np.repeat(accepted, sizes))
-        yield from zip(k[take].tolist(), ts[take].tolist(), F[take])
-        moved = accepted > 0
-        last = (starts + accepted - 1)[moved]
-        kept = live[moved]
-        samples[kept] += accepted[moved]
-        t0[kept], F0[kept], s0[kept] = ts[last], F[last], s[last]
-        # re-anchor by QR: a right GL(m) action, leaving W and phases intact
-        # when the worst sigma_min / sigma_max of the stacks degrades
-        gamma = np.min(s0[kept, ..., -1] / s0[kept, ..., 0], axis=1)
-        redo = (gamma < RENORM_GAMMA) & (t0[kept] < 1.0)
-        if redo.any():
-            r = kept[redo]
-            Q = _normalize(F0[r])
-            anchor[r] = np.linalg.solve(M[last[redo]][:, None], Q)
-            anorm[r] = np.linalg.norm(anchor[r], axis=(2, 3)).max(axis=1)
-            F0[r] = Q
-            s0[r] = np.linalg.svd(Q, compute_uv=False)
-        live = live[t0[live] < 1.0]
+def _walk(path: HomotopyPath, G1, start, k, n, head):
+    """Frames that start the lanes (k, n), consecutive in (energy, n)
+    order.
+
+    The frame starting unit step n+1 is the QR-normalized image of the
+    one starting unit step n under P_n = M_n(1) G1, the unconjugated
+    step; a lane with n = 0 starts at start, and the first lane, when it
+    continues an energy, at head.  Returns the frames and the head of
+    the lane after the last.
+    """
+    P = small_matmul(path.step_matrices(n, 1.0, path.E[k]), G1)
+    w = np.empty(k.shape + start.shape, dtype=complex)
+    w[0] = head
+    w[n == 0] = start
+    # the lanes of each energy form a run; all runs advance together
+    index = np.arange(k.size)
+    rank = index - np.maximum.accumulate(np.where(n == 0, index, 0))
+    for j in range(1, rank.max(initial=0) + 1):
+        i = np.flatnonzero(rank == j)
+        w[i] = _normalize(small_matmul(P[i - 1, None], w[i - 1]))
+    return w, _normalize(small_matmul(P[-1], w[-1]))
+
+
+def _lane_samples(path: HomotopyPath, frames: np.ndarray, conjugator,
+                  substeps: int):
+    """Every certified sample of every lane, in stacks of LANES lanes.
+
+    Yields (k, F, ph) per lane, in (energy, n) order: the energy index,
+    and the frames and det-W phases of the lane's samples in increasing
+    t.  At every junction, the det-W phase at t = 0 of a lane must equal
+    that of the sample before it -- the last one of the previous unit
+    step, or the starting frames for n = 0 -- within PHASE_TOL;
+    otherwise the walk and the tracked path disagree and
+    RefinementExhausted is raised.
+    """
+    m, N = path.m, path.N
+    G1 = path.G1()
+    start = frames if conjugator is None else small_matmul(
+        conjugator(0.0), frames)
+    origin = _det_phase(frames, m)
+    head, tail = start, origin
+    for lo in range(0, path.E.size * N, LANES):
+        k, n = np.divmod(np.arange(lo, min(lo + LANES, path.E.size * N)), N)
+        w, head = _walk(path, G1, start, k, n, head)
+        stack = _LaneStack(path, k, n, small_matmul(G1, w),
+                           np.full(k.size, 1.0 / substeps), conjugator)
+        for i in range(k.size):
+            F = np.array([Ft for _, _, Ft in _certified_samples(stack, i)])
+            ph = _det_phase(F, m)
+            before = origin if n[i] == 0 else tail
+            if np.any(np.abs(_wrap(stack.start[i] - before)) >= PHASE_TOL):
+                raise RefinementExhausted(
+                    "a unit step's starting frame misses the det-W phase at "
+                    "the end of the step before it")
+            tail = ph[-1]
+            yield int(k[i]), F, ph
 
 
 def track_frames(model: OperatorModel, E, theta0, frames: np.ndarray,
@@ -370,13 +463,16 @@ def track_frames(model: OperatorModel, E, theta0, frames: np.ndarray,
     """Track det W phases of a batch of frames along the homotopy path.
 
     E is one energy or an array of them; frames: (B, 2m, m) Lagrangian
-    frame stacks, the same starting frames for every energy.  substeps
-    sets the first step size, 1/substeps; the step controller adapts it
-    from there.  conjugator(time) optionally supplies a symplectic family
-    B; the tracked path is then the conjugated one, B(n+t)^{-1} P^t B(n)
-    on each unit step, which deforms the conjugated cocycle to the
-    identity.  It is called with an array of times as well, and then
-    returns one matrix per time.
+    frame stacks, the same starting frames for every energy.  A QR walk
+    along the orbit gives the frames that start each unit step, and each
+    (energy, unit step) pair is then tracked as its own lane, LANES
+    lanes side by side; the phases are folded in (energy, n, t) order.
+    substeps sets the first step size of every unit step, 1/substeps;
+    the step controller adapts it from there.  conjugator(time)
+    optionally supplies a symplectic family B; the tracked path is then
+    the conjugated one, B(n+t)^{-1} P^t B(n) on each unit step, which
+    deforms the conjugated cocycle to the identity.  It is called with
+    an array of times as well, and then returns one matrix per time.
 
     Returns (acc, last, frames): the accumulated turns and the last
     det-W phase mod 1, shape E.shape + (B,), and the final normalized
@@ -384,58 +480,26 @@ def track_frames(model: OperatorModel, E, theta0, frames: np.ndarray,
     same bit for bit as when it is tracked alone.
     """
     E = np.asarray(E, dtype=float)
-    energies = E.ravel()
-    K = energies.size
     frames = np.asarray(frames, dtype=complex)
     if frames.ndim == 2:
         frames = frames[None]
-    B = frames.shape[0]
-    m = model.m
-    path = HomotopyPath(model, energies, theta0, N)
-    G1 = path.G1()
-    last = np.tile(_det_phase(frames, m), (K, 1))
-    frames = np.tile(frames, (K, 1, 1, 1))
+    path = HomotopyPath(model, E.ravel(), theta0, N)
+    K, B = path.E.size, frames.shape[0]
     acc = np.zeros((K, B))
-    h = np.full(K, 1.0 / substeps)
-    for n in range(N):
-        if conjugator is not None:
-            base = G1 @ (conjugator(float(n)) @ frames)
-        else:
-            base = G1 @ frames
-        # det-W phases in chunks as the samples arrive, so the frames of a
-        # whole unit step are never held at once
-        ks, chunk, phs = [], [], []
-        final = [None] * K
-        for k, _, F in _certified_samples(path, n, base, h, conjugator):
-            ks.append(k)
-            chunk.append(F)
-            final[k] = F
-            if len(chunk) == PHASE_CHUNK:
-                phs.append(_det_phase(np.array(chunk), m))
-                chunk = []
-        if chunk:
-            phs.append(_det_phase(np.array(chunk), m))
-        order = np.argsort(ks, kind="stable")  # by energy, in sample order
-        ks = np.array(ks)[order]
-        phs = np.concatenate(phs)[order]
-        counts = np.bincount(ks, minlength=K)
-        ends = np.cumsum(counts)
-        starts = ends - counts
-        prev = np.empty_like(phs)
-        prev[1:] = phs[:-1]
-        prev[starts] = last
-        # nearest-lift steps, summed per energy in sample order (accumulate
-        # is sequential, so acc matches a per-sample running sum bitwise;
-        # the zero padding after an energy's last step leaves it unchanged)
-        table = np.zeros((K, counts.max() + 1, B))
-        table[:, 0] = acc
-        table[ks, np.arange(ks.size) - starts[ks] + 1] = _wrap(phs - prev)
-        acc = np.add.accumulate(table, axis=1)[:, -1]
-        last = phs[ends - 1]
-        frames = _normalize(np.array(final))
+    last = np.tile(_det_phase(frames, model.m), (K, 1))
+    final = np.tile(frames, (K, 1, 1, 1))
+    for k, F, ph in _lane_samples(path, frames, conjugator, substeps):
+        # nearest-lift steps, summed in sample order (accumulate is
+        # sequential, so acc matches a per-sample running sum bitwise)
+        prev = np.empty_like(ph)
+        prev[0] = last[k]
+        prev[1:] = ph[:-1]
+        acc[k] = np.add.accumulate(
+            np.concatenate((acc[k, None], _wrap(ph - prev))))[-1]
+        last[k], final[k] = ph[-1], F[-1]
     shape = E.shape + (B,)
     return (acc.reshape(shape), last.reshape(shape),
-            frames.reshape(shape + frames.shape[-2:]))
+            _normalize(final).reshape(shape + frames.shape[-2:]))
 
 
 def rot_number(model: OperatorModel, E: float, theta0=None,
@@ -633,15 +697,10 @@ def _anchor_eigenphases(model: OperatorModel, E: float, theta0, N: int,
     """Eigenphase branches at t = N, anchored at 0 at the standard frame."""
     m = model.m
     path = HomotopyPath(model, [E], theta0, N)
-    G1 = path.G1()
-    frame = LagrangianFrame.standard(m).stack
+    frame = LagrangianFrame.standard(m).stack[None]
     branches = np.zeros(m)  # W(0) = I
-    h = np.array([1.0 / substeps])
-    for n in range(N):
-        base = (G1 @ frame)[None, None]
-        Fs = np.array([F[0] for _, _, F in _certified_samples(
-            path, n, base, h, None)])
-        for phases, status in zip(*_unitary_eigenphases(Fs)):
+    for _, F, _ in _lane_samples(path, frame, None, substeps):
+        for phases, status in zip(*_unitary_eigenphases(F[:, 0])):
             if status == RANK_DEFICIENT:
                 raise InvalidInput("frame is rank deficient")
             if status == X_MINUS_IY_SINGULAR:
@@ -650,7 +709,6 @@ def _anchor_eigenphases(model: OperatorModel, E: float, theta0, N: int,
             if worst >= QUARTER_TURN:
                 raise RefinementExhausted(
                     "eigenphase branch moved a quarter turn on a certified grid")
-        frame, _ = np.linalg.qr(Fs[-1])
     return branches
 
 

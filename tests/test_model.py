@@ -4,10 +4,10 @@ import pytest
 from ergospectra.errors import InvalidInput, UnsupportedDirection
 from ergospectra.model import (BaseDynamics, ConstantPotential, OperatorModel,
                                ScalarTrigPotential, TrigBlockPotential, CAT,
-                               DOUBLING, constant_model, eigenvalue_count,
+                               DOUBLING, TORUS, constant_model, eigenvalue_count,
                                finite_restriction, free_model, ids,
                                restriction_eigenvalues, torus_rotation)
-from ergospectra.duality import TrigPolynomial, build_dual
+from ergospectra.duality import TrigPolynomial, _DualPotential, build_dual
 
 from conftest import GOLDEN, random_model
 
@@ -63,6 +63,54 @@ class TestBlocks:
         for n in rng.integers(0, 500, 5):
             fresh = model.f(model.base.advance([0.3], int(n)))
             assert np.abs(fresh - blocks[n]).max() < 1e-14
+
+
+def _per_point(potential, theta):
+    """The one-point formulas that the stacked potentials replaced."""
+    x = float(np.atleast_1d(theta)[0])
+    if isinstance(potential, ConstantPotential):
+        return potential.block
+    if isinstance(potential, TrigBlockPotential):
+        f = np.zeros((potential.m, potential.m), dtype=complex)
+        for k, F in potential.coeffs.items():
+            f += F * np.exp(2j * np.pi * float(np.dot(k, theta)))
+        return (f + f.conj().T) / 2
+    if isinstance(potential, ScalarTrigPotential):
+        s = sum(c * np.exp(2j * np.pi * k * x)
+                for k, c in potential.coeffs.items())
+        return np.array([[float(np.real(s))]], dtype=complex)
+    d, v = potential.m, potential.v
+    return np.array([[2 * np.cos(2 * np.pi * (x + (d - 1 - i) * v.alpha))
+                      + v.coeff(0) if i == j else v.coeff(i - j)
+                      for j in range(d)] for i in range(d)], dtype=complex)
+
+
+class TestStackedPotentials:
+    @pytest.mark.parametrize("kind", [TORUS, CAT, DOUBLING])
+    def test_blocks_equal_per_point_values(self, rng, kind):
+        base = torus_rotation([GOLDEN]) if kind == TORUS else BaseDynamics(kind)
+        d = base.d
+        modes = [(1,), (3,)] if d == 1 else [(1, 0), (0, 1), (2, -1)]
+        trig = {(0,) * d: np.diag([0.5, -1.0])}
+        trig.update({k: rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+                     for k in modes})
+        potentials = [
+            ConstantPotential(np.diag([1.0, 2.0])),
+            TrigBlockPotential(2, trig),
+            ScalarTrigPotential({0: 0.7, 1: 0.5 + 0.2j, -1: 0.5 - 0.2j,
+                                 2: 0.3 + 0.35j, -2: 0.3 - 0.35j}),
+            _DualPotential(TrigPolynomial((0.4 - 0.1j, 1.0 + 0.3j, 0.2,
+                                           1.0 - 0.3j, 0.4 + 0.1j), GOLDEN)),
+        ]
+        theta = rng.random(d)
+        points = base.orbit(theta, 300)
+        for potential in potentials:
+            model = OperatorModel(potential.m, np.eye(potential.m),
+                                  potential, base)
+            blocks = model.blocks(theta, 300)
+            assert np.array_equal(
+                blocks, [_per_point(potential, p) for p in points])
+            assert np.array_equal(blocks, [potential(p) for p in points])
 
 
 class TestFiniteRestriction:

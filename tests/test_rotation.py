@@ -1,5 +1,3 @@
-import functools
-
 import numpy as np
 import pytest
 
@@ -199,17 +197,18 @@ class TestConjugationShift:
             conjugation_shift(model, 3.0, [1, 0], N=10)
 
 
-def _reference_samples(path, n, base, h, conjugator, events):
-    """The per-sample acceptance loop that _certified_samples replaced.
+def _reference_samples(path, k, n, base, h, conjugator, events):
+    """The per-sample acceptance loop that the stacked lanes replaced.
 
-    Kept as an oracle for a path of one energy: it certifies one
-    candidate time at a time and appends "halve" / "reanchor" to events
-    when a block accepts nothing or the frames are re-anchored by QR.
-    After each block it scales h by STEP_TARGET * CERT_TURNS over the
-    largest phase bound its loop examined, within STEP_CLAMP.
+    Kept as an oracle for one lane: unit step n of energy k, started at
+    step size h from the frames base.  It certifies one candidate time
+    at a time and appends "halve" / "reanchor" to events when a block
+    accepts nothing or the frames are re-anchored by QR.  After each
+    block it scales h by STEP_TARGET * CERT_TURNS over the largest phase
+    bound its loop examined, within STEP_CLAMP.
     """
     m = path.m
-    E = path.E[0]
+    E = path.E[k]
     coef = max(2.0 * m / np.pi, 1.0)
     ncoarse = 64
     coarse = np.linspace(0.0, 1.0, ncoarse + 1)
@@ -225,15 +224,15 @@ def _reference_samples(path, n, base, h, conjugator, events):
             cell_curv.max())
 
     t0 = 0.0
-    anchor = base[0]
+    anchor = base
     F0 = small_matmul(Mc[0], anchor)
     s0 = np.linalg.svd(F0, compute_uv=False)
     while t0 < 1.0:
-        h[0] = min(h[0], 1.0 - t0)
-        if h[0] <= rotation.MIN_INTERVAL:
+        h = min(h, 1.0 - t0)
+        if h <= rotation.MIN_INTERVAL:
             raise RefinementExhausted("step size collapsed")
         ts = np.unique(np.minimum(
-            t0 + h[0] * np.arange(1, rotation.BLOCK + 1), 1.0))
+            t0 + h * np.arange(1, rotation.BLOCK + 1), 1.0))
         M = rotation._step_mats(path, n, ts, E, conjugator)
         F = small_matmul(M[:, None], anchor[None])
         s = np.linalg.svd(F, compute_uv=False)
@@ -254,12 +253,12 @@ def _reference_samples(path, n, base, h, conjugator, events):
             worst = max(worst, float(bound.max()))
             if float(bound.max()) >= rotation.CERT_TURNS:
                 break
-            yield 0, ts[i], F[i]
+            yield k, ts[i], F[i]
             accepted = i + 1
             prev_t, prev_F, prev_s = ts[i], F[i], s[i]
-        h[0] *= float(np.clip(rotation.STEP_TARGET * rotation.CERT_TURNS
-                              / worst if worst > 0 else np.inf,
-                              *rotation.STEP_CLAMP))
+        h *= float(np.clip(rotation.STEP_TARGET * rotation.CERT_TURNS
+                           / worst if worst > 0 else np.inf,
+                           *rotation.STEP_CLAMP))
         if accepted == 0:
             events.append("halve")
             continue
@@ -274,39 +273,55 @@ def _reference_samples(path, n, base, h, conjugator, events):
             s0 = np.linalg.svd(F0, compute_uv=False)
 
 
+def _reference_sampler(events):
+    """_reference_samples in the place of _certified_samples: it reads
+    the lane's unit step, energy, frames and first step from the stack
+    and never runs the stack's passes."""
+    def sampler(stack, lane):
+        return _reference_samples(stack.path, stack.k[lane], stack.n[lane],
+                                  stack.base[lane], float(stack.h[lane]),
+                                  stack.conjugator, events)
+    return sampler
+
+
 def _reference_step_mats(path, n, ts, E, conjugator):
     """_step_mats with the conjugator inverted per path time."""
     M = path.step_matrices(n, ts, E).copy()
     if conjugator is not None:
-        for i, t in enumerate(np.ravel(ts)):
-            M.reshape(-1, *M.shape[-2:])[i] = np.linalg.inv(
-                conjugator(n + float(t))) @ M.reshape(-1, *M.shape[-2:])[i]
+        flat = M.reshape(-1, *M.shape[-2:])
+        times = np.broadcast_to(n + np.asarray(ts), M.shape[:-2]).ravel()
+        for i, t in enumerate(times):
+            flat[i] = np.linalg.inv(conjugator(float(t))) @ flat[i]
     return M
 
 
 def _reference_anchor(model, E, theta0, N):
     """_anchor_eigenphases with one LagrangianFrame / frame_to_unitary /
-    eigvals per sample, on the oracle's samples."""
+    eigvals per sample, on the oracle's samples: each unit step starts
+    at h = 1/START_SUBSTEPS from the frame of a per-step QR walk."""
     m = model.m
     path = rotation.HomotopyPath(model, [E], theta0, N)
     G1 = path.G1()
-    frame = LagrangianFrame.standard(m).stack
+    frame = LagrangianFrame.standard(m).stack[None]
     branches = np.zeros(m)
-    h = np.array([1.0 / rotation.START_SUBSTEPS])
     for n in range(N):
-        base = (G1 @ frame)[None, None]
-        for _, _, F in _reference_samples(path, n, base, h, None, []):
+        base = small_matmul(G1, frame)
+        for _, _, F in _reference_samples(path, 0, n, base,
+                                          1.0 / rotation.START_SUBSTEPS,
+                                          None, []):
             W = frame_to_unitary(LagrangianFrame(F[0], tol_symmetry=np.inf))
             branches, _ = rotation._match_phases(
                 branches, rotation._eigenphases_mod(W))
-        frame, _ = np.linalg.qr(F[0])
+        P = small_matmul(path.step_matrices(n, 1.0, E), G1)
+        frame = rotation._normalize(small_matmul(P, frame))
     return branches
 
 
 def _recording(sampler, log):
-    def wrapped(*args, **kwargs):
-        for sample in sampler(*args, **kwargs):
-            log.append(sample)
+    """sampler, logging (n, k, t, F) for every sample of a lane."""
+    def wrapped(stack, lane):
+        for sample in sampler(stack, lane):
+            log.append((stack.n[lane], *sample))
             yield sample
     return wrapped
 
@@ -334,7 +349,7 @@ class TestCertifiedSampler:
             frames = LagrangianFrame.standard(m).stack[None]
         events, new, ref = [], [], []
         real = rotation._certified_samples
-        oracle = functools.partial(_reference_samples, events=events)
+        oracle = _reference_sampler(events)
         monkeypatch.setattr(rotation, "_certified_samples", _recording(real, new))
         acc, _, out = rotation.track_frames(model, E, [0.17], frames, N,
                                             conjugator=conjugator,
@@ -345,14 +360,15 @@ class TestCertifiedSampler:
                                               conjugator=conjugator,
                                               substeps=substeps)
         assert len(new) == len(ref)
-        for (_, t, F), (_, rt, rF) in zip(new, ref):
+        for (n, _, t, F), (rn, _, rt, rF) in zip(new, ref):
+            assert n == rn
             assert t == rt
             assert np.array_equal(F, rF)
         assert np.array_equal(out, ref_out)
         # the old per-sample running sum of nearest-lift steps
         ref_acc = np.zeros(frames.shape[0])
         last = rotation._det_phase(frames, m)
-        for _, _, F in ref:
+        for _, _, _, F in ref:
             ph = rotation._det_phase(F, m)
             ref_acc += rotation._wrap(ph - last)
             last = ph
@@ -459,6 +475,44 @@ class TestEnergyBatch:
         energies = np.linspace(-4.0, 4.0, 24)
         assert energies.size * rotation.BLOCK * frames[0].size * 2 > 2 ** 14
         self._compare(model, energies, frames, 2)
+
+
+class TestLanes:
+    """Unit steps tracked as lanes of a stack, started from a QR walk."""
+
+    @pytest.mark.parametrize("conjugated", [False, True])
+    def test_one_lane_stack_equals_default(self, monkeypatch, rng,
+                                           conjugated):
+        model = random_model(rng, m=2, cond_max=4.0)
+        frames = np.array([LagrangianFrame.standard(2).stack,
+                           np.vstack([np.eye(2), np.eye(2)])])
+        conj = _conjugator(2, 1.0, model.base.alpha[0]) if conjugated \
+            else None
+        energies = np.array([-1.3, 0.4, 2.2])
+        N = 2 * rotation.LANES // energies.size + 3  # stacks span energies
+        default = rotation.track_frames(model, energies, [0.17], frames, N,
+                                        conjugator=conj)
+        monkeypatch.setattr(rotation, "LANES", 1)
+        single = rotation.track_frames(model, energies, [0.17], frames, N,
+                                       conjugator=conj)
+        for a, b in zip(default, single):
+            assert np.array_equal(a, b)
+
+    def test_perturbed_walk_frame_breaks_junction(self, monkeypatch, rng):
+        model = random_model(rng, m=2, cond_max=4.0)
+        real = rotation._walk
+
+        def perturbed(*args):
+            w, head = real(*args)
+            w = w.copy()
+            # lane 2 is unit step 2: rotate its plane a little
+            w[2] = small_matmul(rotation._plane_rotation(2, 1e-3), w[2])
+            return w, head
+
+        rot_number(model, 0.4, N=4)
+        monkeypatch.setattr(rotation, "_walk", perturbed)
+        with pytest.raises(RefinementExhausted, match="starting frame"):
+            rot_number(model, 0.4, N=4)
 
 
 def _recursive_phase_curves(model, theta0, N, E_grid, visited,
