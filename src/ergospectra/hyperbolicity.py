@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import subspace_angles
 
 from .errors import (InvalidInput, RefineGrid, UnsupportedBase,
                      UnsupportedDirection)
+from .matkernel import extreme_singular_values
 from .model import OperatorModel, TORUS
 from .cocycle import LagrangianFrame, frame_to_unitary, transfer_matrices
 
@@ -92,12 +92,16 @@ def _backward_sweep(model: OperatorModel, energies: np.ndarray, blocks,
     return chi, frames[::-1]
 
 
-def _max_angle(F1: np.ndarray, F2: np.ndarray) -> float:
-    return float(np.max(subspace_angles(F1, F2)))
+def _principal_angles(F1: np.ndarray, F2: np.ndarray) -> np.ndarray:
+    """(largest, smallest) principal angle between the column spans of
+    stacked frames F1 and F2 of equal rank, shape (..., 2).
 
-
-def _min_angle_between(F1: np.ndarray, F2: np.ndarray) -> float:
-    return float(np.min(subspace_angles(F1, F2)))
+    With Q1 and Q2 orthonormal bases of the spans, the sines of the
+    principal angles are the singular values of Q2 - Q1 (Q1* Q2).
+    """
+    Q1, Q2 = np.linalg.qr(F1)[0], np.linalg.qr(F2)[0]
+    D = Q2 - Q1 @ (np.conj(np.swapaxes(Q1, -1, -2)) @ Q2)
+    return np.arcsin(np.minimum(extreme_singular_values(D), 1.0))
 
 
 def uh_test(model: OperatorModel, E: float, n_iter: int = DEFAULT_N_ITER,
@@ -119,16 +123,25 @@ def uh_test_many(model: OperatorModel, energies, n_iter: int = DEFAULT_N_ITER,
     """Dichotomy test at each of several energies along one orbit.
 
     The potential blocks of the orbit segment are evaluated once and
-    both sweeps advance all energies together; the invariance,
-    Lagrangian and transversality checks run per energy.  Returns a
+    both sweeps advance all energies together, and the invariance and
+    transversality angles of every (energy, sample) pair are found in
+    one stacked call; the Lagrangian check runs per energy.  Returns a
     list of (is_uh, SplittingEstimate), one per energy, in order.
+    n_iter < 1, samples < 2 (no invariance check could run) and
+    non-finite energies raise InvalidInput.
     """
     if not model.base.invertible:
         raise UnsupportedDirection("uh_test needs backward iteration")
+    if n_iter < 1 or samples < 2:
+        raise InvalidInput(
+            f"need n_iter >= 1 and samples >= 2, got n_iter={n_iter}, "
+            f"samples={samples}")
     if theta0 is None:
         theta0 = np.zeros(model.base.d)
     theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
+    if not np.all(np.isfinite(energies)):
+        raise InvalidInput("energies must be finite")
     m = model.m
     pts = model.base.orbit(theta0, samples)
     steps = n_iter + samples - 1
@@ -142,18 +155,21 @@ def uh_test_many(model: OperatorModel, energies, n_iter: int = DEFAULT_N_ITER,
     sample_steps = transfer_matrices(model, energies,
                                      blocks[n_iter:n_iter + samples - 1])
 
+    # (2, K, samples, 2m, m): the unstable and the stable frames
+    frames = np.stack((unstable, stable)).swapaxes(1, 2)
+    # invariance along consecutive samples, then transversality
+    drift = _principal_angles(sample_steps @ frames[:, :, :-1],
+                              frames[:, :, 1:])[..., 0]
+    invariant = ~np.any(drift > ANGLE_TOL, axis=(0, 2))
+    split = _principal_angles(frames[0], frames[1])[..., 1]
+    transversal = np.all(split > ANGLE_TOL, axis=1)
+
     results = []
     for e, E in enumerate(energies.tolist()):
         Fu = list(unstable[:, e])
         Fs = list(stable[:, e])
         gap = float(chi_f[e, m - 1] - chi_f[e, m])
-        converged = True
-        # invariance along consecutive samples
-        for k, A in enumerate(sample_steps[e]):
-            if _max_angle(A @ Fu[k], Fu[k + 1]) > ANGLE_TOL:
-                converged = False
-            if _max_angle(A @ Fs[k], Fs[k + 1]) > ANGLE_TOL:
-                converged = False
+        converged = bool(invariant[e])
         # the fibers of a genuine splitting are Lagrangian
         if converged:
             for F in Fu + Fs:
@@ -162,10 +178,7 @@ def uh_test_many(model: OperatorModel, energies, n_iter: int = DEFAULT_N_ITER,
                 except InvalidInput:
                     converged = False
                     break
-        transversal = all(
-            _min_angle_between(Fu[k], Fs[k]) > ANGLE_TOL
-            for k in range(samples))
-        is_uh = bool(converged and transversal
+        is_uh = bool(converged and transversal[e]
                      and gap >= np.log(gap_threshold))
         results.append((is_uh, SplittingEstimate(
             theta_samples=pts, unstable=Fu, stable=Fs, gap=gap,

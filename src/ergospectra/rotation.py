@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import (DegenerateFrame, InvalidInput, RefinementExhausted,
                      UnsupportedBase)
-from .matkernel import GlPath, small_matmul
+from .matkernel import GlPath, extreme_singular_values, small_matmul
 from .model import OperatorModel, TORUS
 from .cocycle import LagrangianFrame, frame_to_unitary, transfer_matrices
 
@@ -279,7 +279,7 @@ class _LaneStack:
         self.anchor = base.copy()  # frames at path time t are M(t) @ anchor
         self.anorm = np.linalg.norm(base, axis=(2, 3)).max(axis=1)
         self.F0 = small_matmul(Mc[:, 0, None], base)
-        self.s0 = np.linalg.svd(self.F0, compute_uv=False)
+        self.s0 = extreme_singular_values(self.F0)
         self.start = _det_phase(self.F0, path.m)  # det-W phase at t = 0
         self.samples = np.zeros(k.size, dtype=int)
         self.queues = [deque() for _ in range(k.size)]
@@ -321,7 +321,7 @@ class _LaneStack:
         M = _step_mats(self.path, self.n[lane], ts, self.E[lane],
                        self.conjugator)
         F = small_matmul(M[:, None], self.anchor[lane])
-        s = np.linalg.svd(F, compute_uv=False)
+        s = extreme_singular_values(F)
         # interval i runs from sample i-1, or from its block's start
         prev_t = np.empty_like(ts)
         prev_t[1:] = ts[:-1]
@@ -360,7 +360,7 @@ class _LaneStack:
             self.anorm[r] = np.linalg.norm(self.anchor[r],
                                            axis=(2, 3)).max(axis=1)
             self.F0[r] = Q
-            s0[r] = np.linalg.svd(Q, compute_uv=False)
+            s0[r] = extreme_singular_values(Q)
         self.live = live[t0[live] < 1.0]
 
 
@@ -477,9 +477,15 @@ def track_frames(model: OperatorModel, E, theta0, frames: np.ndarray,
     Returns (acc, last, frames): the accumulated turns and the last
     det-W phase mod 1, shape E.shape + (B,), and the final normalized
     frames, shape E.shape + (B, 2m, m).  Each energy's values are the
-    same bit for bit as when it is tracked alone.
+    same bit for bit as when it is tracked alone.  N < 1, substeps < 1
+    and non-finite energies raise InvalidInput.
     """
     E = np.asarray(E, dtype=float)
+    if N < 1 or substeps < 1:
+        raise InvalidInput(
+            f"need N >= 1 and substeps >= 1, got N={N}, substeps={substeps}")
+    if not np.all(np.isfinite(E)):
+        raise InvalidInput("energies must be finite")
     frames = np.asarray(frames, dtype=complex)
     if frames.ndim == 2:
         frames = frames[None]
@@ -681,9 +687,9 @@ def _unitary_eigenphases(frames: np.ndarray):
     """
     m = frames.shape[-1]
     X, Y = frames[:, :m], frames[:, m:]
-    s = np.linalg.svd(frames, compute_uv=False)
+    s = extreme_singular_values(frames)
     den = X - 1j * Y
-    sd = np.linalg.svd(den, compute_uv=False)
+    sd = extreme_singular_values(den)
     status = np.zeros(len(frames), dtype=int)
     status[sd[:, -1] <= 1e-12 * np.maximum(1.0, sd[:, 0])] = X_MINUS_IY_SINGULAR
     status[s[:, -1] <= 1e-10 * s[:, 0]] = RANK_DEFICIENT

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ergospectra.errors import UnsupportedBase, UnsupportedDirection
+from ergospectra.errors import (InvalidInput, UnsupportedBase,
+                               UnsupportedDirection)
 from scipy.linalg import subspace_angles
 
 from ergospectra import hyperbolicity
@@ -73,6 +74,38 @@ class TestUhTest:
                               BaseDynamics(CAT))
         is_uh, _ = uh_test(model, 3.0, n_iter=200)
         assert is_uh
+
+    def test_no_iterations_rejected(self):
+        with pytest.raises(InvalidInput):
+            uh_test(free_model(), 3.0, n_iter=0)
+
+    @pytest.mark.parametrize("samples", [0, 1])
+    def test_too_few_samples_rejected(self, samples):
+        # with fewer than two samples no invariance check could run
+        with pytest.raises(InvalidInput):
+            uh_test(free_model(), 3.0, n_iter=50, samples=samples)
+
+    @pytest.mark.parametrize("E", [np.nan, np.inf])
+    def test_non_finite_energy_rejected(self, E):
+        with pytest.raises(InvalidInput):
+            uh_test_many(free_model(), [3.0, E], n_iter=50)
+
+    def test_angles_match_scipy(self, rng):
+        # the stacked principal angles against scipy's, on converged and
+        # on unconverged (short-sweep) frames of the m = 1, 2, 3 models
+        for m in (1, 2, 3):
+            model = random_model(rng, m=m, cond_max=5.0)
+            energies = np.linspace(-6.0, 6.0, 13)
+            for steps in (3, 60):
+                blocks = model.blocks([0.2], steps)
+                _, Fu = _forward_sweep(model, energies, blocks, steps, 1)
+                _, Fs = _backward_sweep(model, energies, blocks, steps, 1)
+                sines = np.sin(hyperbolicity._principal_angles(Fu, Fs))
+                for k in range(2):
+                    for e in range(energies.size):
+                        ref = np.sin(subspace_angles(Fu[k, e], Fs[k, e]))
+                        assert abs(sines[k, e, 0] - ref.max()) < 1e-12
+                        assert abs(sines[k, e, 1] - ref.min()) < 1e-12
 
 
 def band_and_gap_energies(model):

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from ergospectra.errors import InvalidInput, SingularMatrix
-from ergospectra.matkernel import GlPath, hermitian_part, polar
+from ergospectra.matkernel import (GlPath, extreme_singular_values,
+                                   hermitian_part, polar)
 
 from conftest import random_invertible
 
@@ -61,3 +64,73 @@ class TestGlPath:
     def test_singular_rejected(self):
         with pytest.raises(SingularMatrix):
             polar(np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+
+def _lapack_extremes(A):
+    s = np.linalg.svd(A, compute_uv=False)
+    return s[..., 0], s[..., -1]
+
+
+def _complex_stack(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestExtremeSingularValues:
+    """The closed forms for m <= 2 against LAPACK's singular values."""
+
+    def _check(self, A):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = extreme_singular_values(A)
+        smax, smin = _lapack_extremes(A)
+        assert s.shape == A.shape[:-2] + (2,)
+        assert np.all(np.isfinite(s))
+        assert np.all(np.abs(s[..., 0] - smax) <= 1e-13 * smax)
+        assert np.all(np.abs(s[..., 1] - smin) <= 1e-13 * smax)
+        return s
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("rows", [1, 2])  # square and tall (2m x m)
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+    def test_random_and_orthonormal_frames(self, rng, m, rows, scale):
+        A = _complex_stack(rng, (50, 3, rows * m, m))
+        self._check(scale * A)
+        Q = np.linalg.qr(A)[0]
+        s = self._check(scale * Q)
+        # orthonormal columns: both extremes equal the scale
+        assert np.allclose(s, scale, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("rows", [2, 4])
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+    def test_rank_one(self, rng, rows, scale):
+        v = _complex_stack(rng, (40, rows, 1))
+        A = scale * v * _complex_stack(rng, (40, 1, 2))
+        s = self._check(A)
+        assert np.all(s[..., 1] <= 4 * np.finfo(float).eps * s[..., 0])
+
+    def test_zero_matrix(self):
+        for m in (1, 2):
+            assert np.array_equal(
+                extreme_singular_values(np.zeros((3, 2 * m, m))),
+                np.zeros((3, 2)))
+
+    def test_independent_of_stack(self, rng):
+        A = _complex_stack(rng, (60, 2, 4, 2))
+        whole = extreme_singular_values(A)
+        parts = np.concatenate([extreme_singular_values(A[i:i + 7])
+                                for i in range(0, 60, 7)])
+        assert np.array_equal(whole, parts)
+        assert np.array_equal(whole[5, 1], extreme_singular_values(A[5, 1]))
+
+    def test_input_not_mutated(self, rng):
+        A = _complex_stack(rng, (1, 1))[None]
+        copy = A.copy()
+        extreme_singular_values(A)
+        assert np.array_equal(A, copy)
+
+    def test_three_columns_are_lapack_extremes(self, rng):
+        A = _complex_stack(rng, (20, 2, 6, 3))
+        s = extreme_singular_values(A)
+        smax, smin = _lapack_extremes(A)
+        assert np.array_equal(s[..., 0], smax)
+        assert np.array_equal(s[..., 1], smin)

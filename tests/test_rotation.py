@@ -4,7 +4,7 @@ import pytest
 from ergospectra import rotation
 from ergospectra.errors import (InvalidInput, RefinementExhausted,
                                 UnsupportedBase)
-from ergospectra.matkernel import small_matmul
+from ergospectra.matkernel import extreme_singular_values, small_matmul
 from ergospectra.cocycle import (LagrangianFrame, frame_to_unitary,
                                  transfer_product)
 from ergospectra.model import OperatorModel, constant_model, free_model
@@ -105,6 +105,26 @@ class TestRotNumber:
             vals, _ = rot_number_batch(model, 0.7, [0.0], frames, N)
             spread = vals.max() - vals.min()
             assert N * spread <= 1 + 1e-3
+
+
+class TestTrackFramesRejects:
+    """Degenerate input raises InvalidInput before any tracking."""
+
+    @pytest.mark.parametrize("N", [0, -3])
+    def test_no_unit_steps(self, N):
+        with pytest.raises(InvalidInput):
+            rot_number(free_model(), 0.0, N=N)
+
+    def test_no_substeps(self):
+        with pytest.raises(InvalidInput):
+            rot_number(free_model(), 0.0, N=5, substeps=0)
+
+    @pytest.mark.parametrize("E", [np.nan, np.inf, -np.inf])
+    def test_non_finite_energy(self, E):
+        with pytest.raises(InvalidInput):
+            rot_number(free_model(), E, N=5)
+        with pytest.raises(InvalidInput):
+            rotation.accumulated_phase(free_model(), [0.3, E], N=5)
 
 
 class TestCharPoly:
@@ -226,7 +246,7 @@ def _reference_samples(path, k, n, base, h, conjugator, events):
     t0 = 0.0
     anchor = base
     F0 = small_matmul(Mc[0], anchor)
-    s0 = np.linalg.svd(F0, compute_uv=False)
+    s0 = extreme_singular_values(F0)
     while t0 < 1.0:
         h = min(h, 1.0 - t0)
         if h <= rotation.MIN_INTERVAL:
@@ -235,7 +255,7 @@ def _reference_samples(path, k, n, base, h, conjugator, events):
             t0 + h * np.arange(1, rotation.BLOCK + 1), 1.0))
         M = rotation._step_mats(path, n, ts, E, conjugator)
         F = small_matmul(M[:, None], anchor[None])
-        s = np.linalg.svd(F, compute_uv=False)
+        s = extreme_singular_values(F)
         anorm = float(np.linalg.norm(anchor, axis=(1, 2)).max())
         accepted = 0
         worst = -np.inf
@@ -263,14 +283,14 @@ def _reference_samples(path, k, n, base, h, conjugator, events):
             events.append("halve")
             continue
         t0, F0, s0 = prev_t, prev_F, prev_s
-        sv = np.linalg.svd(F0, compute_uv=False)
+        sv = extreme_singular_values(F0)
         if float(np.min(sv[..., -1] / sv[..., 0])) < rotation.RENORM_GAMMA \
                 and t0 < 1.0:
             events.append("reanchor")
             Q = rotation._normalize(F0)
             anchor = np.linalg.solve(M[accepted - 1][None], Q)
             F0 = Q
-            s0 = np.linalg.svd(F0, compute_uv=False)
+            s0 = extreme_singular_values(F0)
 
 
 def _reference_sampler(events):
